@@ -16,7 +16,7 @@ from random import Random
 from typing import Any
 
 from . import figures
-from .errors import TaquinError
+from .errors import ResourceLimitError, TaquinError
 from .hms import (
     classify_state,
     default_capacity_grid,
@@ -50,6 +50,8 @@ from .rsk import rsk, rsk_inverse
 
 DEFAULT_SEED = 1729
 SEED_ENV_VAR = "TAQUIN_SEED"
+MAX_COUNT_CELLS = 2000  # f <= sqrt(n!) then prints within the 4300-digit int-to-str limit
+MAX_IDENTITY_N = 40  # the check walks all p(n) shapes: ~2 s at n=40, ~12 s at n=50
 
 
 def _seed() -> int:
@@ -75,7 +77,7 @@ def _load_json(path: str) -> Any:
             return json.load(handle)
     except OSError as exc:
         raise TaquinError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long integers, over-deep nesting
         raise TaquinError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -88,6 +90,8 @@ def _emit(obj: Any, trace_path: str | None = None) -> None:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     shape = Partition(_parse_int_list(args.shape, "--shape"))
+    if shape.n > MAX_COUNT_CELLS:
+        raise ResourceLimitError(f"shape has {shape.n} cells; the bound is {MAX_COUNT_CELLS}")
     _emit(
         {
             "shape": list(shape.parts),
@@ -99,6 +103,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_identity(args: argparse.Namespace) -> int:
+    if args.n > MAX_IDENTITY_N:
+        raise ResourceLimitError(f"verify-identity is bounded to n <= {MAX_IDENTITY_N}")
     result = verify_sum_squares(args.n)
     _emit(
         {

@@ -15,9 +15,9 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import DomainError, InvalidStateError, ShapeError
-from .jdt import SlidePolicy, first_corner, forward_slide_trace
-from .partitions import Cell, Partition, SkewShape, inner_corners, skew_shape_of_cells
-from .tableaux import ShapeKind, Tableau, is_partial
+from .jdt import Grid, SlidePolicy, SlideStep, _rectify_slides, _slide, first_corner
+from .partitions import Cell, Partition, SkewShape
+from .tableaux import ShapeKind, Tableau, _at, is_partial
 
 
 class StateKind(Enum):
@@ -62,7 +62,6 @@ class CapacityGrid:
 
 def default_capacity_grid(shape: Partition) -> CapacityGrid:
     """Capacities 2^-(i+j-2): an admissible hierarchy for when none is supplied."""
-    _require_canonical(shape)
     rates = tuple(
         tuple(Fraction(1, 2 ** (i + j)) for j in range(shape.row_len(i + 1)))
         for i in range(shape.num_rows)
@@ -157,9 +156,7 @@ class HmtState:
 
     def get(self, i: int, j: int) -> int | None:
         """Task at 1-based (i, j); None when idle or outside the grid."""
-        if 1 <= i <= len(self.occupancy) and 1 <= j <= len(self.occupancy[i - 1]):
-            return self.occupancy[i - 1][j - 1]
-        return None
+        return _at(self.occupancy, i, j)
 
     def task_cells(self) -> dict[int, Cell]:
         return {
@@ -210,12 +207,12 @@ def maximally_embedded(state: HmtState) -> tuple[SkewShape, Tableau]:
     """The skew shape of the occupied cells and the tableau they form."""
     cells = {cell: task for task, cell in state.task_cells().items()}
     try:
-        shape = skew_shape_of_cells(cells.keys())
+        embedded = Tableau.from_cells(cells)
     except ShapeError as exc:
         raise InvalidStateError(f"occupied cells do not form a tableau region: {exc}") from exc
-    if not state.shape.contains(shape.outer):
+    if not state.shape.contains(embedded.shape.outer):
         raise InvalidStateError("embedded shape exceeds the processor grid")
-    return shape, Tableau.from_cells(cells)
+    return embedded.shape, embedded
 
 
 def classify_state(state: HmtState) -> tuple[StateKind, ShapeKind]:
@@ -299,6 +296,20 @@ def _require_standard_normal(state: HmtState, op: str) -> None:
         raise DomainError(f"{op} needs a standard state of normal shape")
 
 
+def _relocations(steps: Iterable[SlideStep]) -> tuple[Relocation, ...]:
+    return tuple(Relocation(step.moved_entry, step.source, step.hole) for step in steps)
+
+
+def _complete(grid: Grid, cells: dict[int, Cell], task: int) -> tuple[Relocation, ...]:
+    """Vacate ``task``'s cell and cascade, updating ``grid`` and the task-to-cell map in place."""
+    hole = cells.pop(task)
+    grid[hole.row - 1][hole.col - 1] = None
+    relocations = _relocations(_slide(grid, hole, 1))
+    for move in relocations:
+        cells[move.task] = move.dest
+    return relocations
+
+
 def reassign_on_completion(state: HmtState, task: int) -> tuple[HmtState, tuple[Relocation, ...]]:
     """Vacate the completed task's cell and run the greedy relocation cascade.
 
@@ -308,33 +319,9 @@ def reassign_on_completion(state: HmtState, task: int) -> tuple[HmtState, tuple[
     and of normal shape again.
     """
     _require_standard_normal(state, "reassign_on_completion")
-    hole = state.cell_of(task)
     grid = [list(row) for row in state.occupancy]
-    grid[hole.row - 1][hole.col - 1] = None
-
-    def occupant(i: int, j: int) -> int | None:
-        if 1 <= i <= len(grid) and 1 <= j <= len(grid[i - 1]):
-            return grid[i - 1][j - 1]
-        return None
-
-    relocations: list[Relocation] = []
-    while True:
-        right = occupant(hole.row, hole.col + 1)
-        below = occupant(hole.row + 1, hole.col)
-        if right is None and below is None:
-            break
-        if below is None or (right is not None and right < below):
-            source = Cell(hole.row, hole.col + 1)
-            mover = right
-        else:
-            source = Cell(hole.row + 1, hole.col)
-            mover = below
-        grid[hole.row - 1][hole.col - 1] = mover
-        grid[source.row - 1][source.col - 1] = None
-        relocations.append(Relocation(mover, source, hole))
-        hole = source
-
-    return state.with_occupancy(grid), tuple(relocations)
+    relocations = _complete(grid, {task: state.cell_of(task)}, task)
+    return state.with_occupancy(grid), relocations
 
 
 def reassignment_sequence(a0: HmtState, completions: Iterable[int]) -> ReassignmentTrace:
@@ -347,19 +334,21 @@ def reassignment_sequence(a0: HmtState, completions: Iterable[int]) -> Reassignm
     """
     _require_standard_normal(a0, "reassignment_sequence")
     completions = [int(task) for task in completions]
-    assigned = set(a0.task_cells())
+    cells = a0.task_cells()
     if len(set(completions)) != len(completions):
         raise DomainError("completion sequence repeats a task")
-    missing = [task for task in completions if task not in assigned]
+    missing = [task for task in completions if task not in cells]
     if missing:
         raise DomainError(f"completion of unassigned task {missing[0]}")
 
-    m = a0.task_count
+    m = len(cells)
+    grid = [list(row) for row in a0.occupancy]
     events: list[TraceEvent] = []
     state = a0
     for index, task in enumerate(completions):
         if index < m - 1:
-            state, relocations = reassign_on_completion(state, task)
+            relocations = _complete(grid, cells, task)
+            state = a0.with_occupancy(grid)
             events.append(TraceEvent(Completion(task), relocations, state))
         else:
             # The last task's completion empties the workload but moves nothing.
@@ -378,24 +367,13 @@ def rectify_assignment(a0: HmtState, slide_policy: SlidePolicy = first_corner) -
     if not is_partial(embedded):
         raise DomainError("rectify_assignment needs a standard state")
 
-    events: list[TraceEvent] = []
-    state = a0
-    current = embedded
-    while not current.shape.is_normal:
-        corners = inner_corners(current.shape.inner)
-        corner = Cell(*slide_policy(corners))
-        if corner not in corners:
-            raise DomainError(f"slide policy returned {corner}, not one of {corners}")
-        current, _, steps = forward_slide_trace(current, corner)
-        grid = [list(row) for row in state.occupancy]
-        relocations = []
-        for step in steps:
-            grid[step.hole.row - 1][step.hole.col - 1] = step.moved_entry
-            grid[step.source.row - 1][step.source.col - 1] = None
-            relocations.append(Relocation(step.moved_entry, step.source, step.hole))
-        state = state.with_occupancy(grid)
-        events.append(TraceEvent(RectifyCorner(corner), tuple(relocations), state))
-    return ReassignmentTrace(a0, tuple(events))
+    # Idle cells outside the embedded shape read as off-grid: slide on the mesh itself.
+    grid = [list(row) for row in a0.occupancy]
+    events = tuple(
+        TraceEvent(RectifyCorner(corner), _relocations(steps), a0.with_occupancy(grid))
+        for corner, steps in _rectify_slides(grid, shape.inner, slide_policy)
+    )
+    return ReassignmentTrace(a0, events)
 
 
 def naive_slide_up(a0: HmtState) -> HmtState:
@@ -454,18 +432,19 @@ def turnaround_sequential(
     if caps.shape != a0.shape:
         raise DomainError("capacity grid shape differs from state shape")
     _require_standard_normal(a0, "turnaround_sequential")
-    m = a0.task_count
-    if sorted(a0.task_cells()) != list(range(1, m + 1)):
+    cells = a0.task_cells()
+    m = len(cells)
+    if sorted(cells) != list(range(1, m + 1)):
         raise DomainError("assigned tasks must be exactly 1..m")
     if tasks.m != m:
         raise DomainError(f"need requirements for exactly {m} tasks, got {tasks.m}")
 
+    grid = [list(row) for row in a0.occupancy]
     runs: list[TaskRun] = []
-    state = a0
     for task in range(1, m + 1):
-        cell = state.cell_of(task) if relocate else a0.cell_of(task)
+        cell = cells[task]
         runs.append(TaskRun(task, cell, tasks.requirement(task) / caps.rate(cell)))
         if relocate:
-            state, _ = reassign_on_completion(state, task)
+            _complete(grid, cells, task)
     total = sum((run.duration for run in runs), Fraction(0))
     return TurnaroundReport(total, tuple(runs))

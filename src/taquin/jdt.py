@@ -3,15 +3,16 @@
 A forward slide opens a hole at an inner corner of the inner shape and pulls
 the smaller of the right/below entries into it until the hole reaches an inner
 corner of the outer shape; a backward slide is the mirror image and inverts it.
+Both, and the completion cascades of ``hms``, run on one trusting kernel.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError
-from .partitions import Cell, SkewShape, inner_corners, outer_corners
-from .tableaux import Tableau, is_partial
+from .partitions import Cell, Partition, SkewShape, inner_corners, outer_corners
+from .tableaux import Tableau, _at, is_partial
 
 
 class SlideStep(NamedTuple):
@@ -23,6 +24,7 @@ class SlideStep(NamedTuple):
 
 
 SlidePolicy = Callable[[Sequence[Cell]], Cell]
+Grid = list[list[int | None]]
 
 
 def first_corner(corners: Sequence[Cell]) -> Cell:
@@ -30,82 +32,67 @@ def first_corner(corners: Sequence[Cell]) -> Cell:
     return corners[0]
 
 
+def _slide(grid: Grid, hole: Cell, step: int) -> list[SlideStep]:
+    """Fill ``hole`` in place until no neighbour can move in; return the moves.
+
+    Empty and off-grid cells both read as ``None``.  With ``step=+1`` the
+    smaller of the right/below entries moves in (a forward slide or completion
+    cascade); with ``step=-1`` the larger of the left/above entries does.
+    """
+    i, j = hole
+    steps: list[SlideStep] = []
+    while True:
+        across, down = _at(grid, i, j + step), _at(grid, i + step, j)
+        if across is None and down is None:
+            return steps
+        # Entries are positive, so scaling by ``step = -1`` reverses their order.
+        if down is None or (across is not None and across * step < down * step):
+            source, moved = Cell(i, j + step), across
+        else:
+            source, moved = Cell(i + step, j), down
+        grid[i - 1][j - 1] = moved
+        grid[source.row - 1][source.col - 1] = None
+        steps.append(SlideStep(Cell(i, j), moved, source))
+        i, j = source
+
+
+def _require_partial(p: Tableau) -> None:
+    if not is_partial(p):
+        raise DomainError("slides are defined on strictly increasing tableaux")
+
+
 def forward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[SlideStep, ...]]:
     """Forward slide returning the result, the vacated cell, and every hole move."""
     start = Cell(*start)
-    if not is_partial(p):
-        raise DomainError("slides are defined on strictly increasing tableaux")
+    _require_partial(p)
     if start not in inner_corners(p.shape.inner):
         raise DomainError(f"{start} is not an inner corner of {p.shape.inner.parts}")
 
-    entries = p.to_cell_map()
-    stops = set(inner_corners(p.shape.outer))
-    hole = start
-    steps: list[SlideStep] = []
-    while hole not in stops:
-        right = entries.get(Cell(hole.row, hole.col + 1))
-        below = entries.get(Cell(hole.row + 1, hole.col))
-        assert right != below or right is None  # entries are distinct
-        if below is None or (right is not None and right < below):
-            source = Cell(hole.row, hole.col + 1)
-            moved = right
-        else:
-            source = Cell(hole.row + 1, hole.col)
-            moved = below
-        assert moved is not None  # a non-corner hole always has an occupied neighbor
-        steps.append(SlideStep(hole, moved, source))
-        entries[hole] = moved
-        del entries[source]
-        hole = source
-
-    new_shape = SkewShape(
-        p.shape.outer.remove_corner(hole),
-        p.shape.inner.remove_corner(start),
-    )
-    return _rebuild(new_shape, entries), hole, tuple(steps)
+    grid = [list(row) for row in p.rows]
+    steps = _slide(grid, start, 1)
+    vacated = steps[-1].source if steps else start
+    grid[vacated.row - 1].pop()  # an inner corner of the outer shape ends its row
+    if not grid[-1]:
+        grid.pop()
+    shape = SkewShape(p.shape.outer.remove_corner(vacated), p.shape.inner.remove_corner(start))
+    return Tableau(shape, grid), vacated, tuple(steps)
 
 
 def backward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[SlideStep, ...]]:
     """Backward slide returning the result, the vacated cell, and every hole move."""
     start = Cell(*start)
-    if not is_partial(p):
-        raise DomainError("slides are defined on strictly increasing tableaux")
+    _require_partial(p)
     if start not in outer_corners(p.shape.outer):
         raise DomainError(f"{start} is not an outer corner of {p.shape.outer.parts}")
 
-    entries = p.to_cell_map()
-    stops = set(outer_corners(p.shape.inner))
-    hole = start
-    steps: list[SlideStep] = []
-    while hole not in stops:
-        above = entries.get(Cell(hole.row - 1, hole.col))
-        left = entries.get(Cell(hole.row, hole.col - 1))
-        assert above != left or above is None
-        if left is None or (above is not None and above > left):
-            source = Cell(hole.row - 1, hole.col)
-            moved = above
-        else:
-            source = Cell(hole.row, hole.col - 1)
-            moved = left
-        assert moved is not None
-        steps.append(SlideStep(hole, moved, source))
-        entries[hole] = moved
-        del entries[source]
-        hole = source
-
-    new_shape = SkewShape(
-        p.shape.outer.add_corner(start),
-        p.shape.inner.add_corner(hole),
-    )
-    return _rebuild(new_shape, entries), hole, tuple(steps)
-
-
-def _rebuild(shape: SkewShape, entries: dict[Cell, int]) -> Tableau:
-    rows = tuple(
-        tuple(entries.get(Cell(i, j)) for j in range(1, shape.outer.row_len(i) + 1))
-        for i in range(1, shape.outer.num_rows + 1)
-    )
-    return Tableau(shape, rows)
+    grid = [list(row) for row in p.rows]
+    if start.row > len(grid):
+        grid.append([])
+    grid[start.row - 1].append(None)
+    steps = _slide(grid, start, -1)
+    vacated = steps[-1].source if steps else start
+    shape = SkewShape(p.shape.outer.add_corner(start), p.shape.inner.add_corner(vacated))
+    return Tableau(shape, grid), vacated, tuple(steps)
 
 
 def forward_slide(p: Tableau, start: Cell) -> tuple[Tableau, Cell]:
@@ -120,20 +107,36 @@ def backward_slide(p: Tableau, start: Cell) -> tuple[Tableau, Cell]:
     return result, vacated
 
 
+def _rectify_slides(
+    grid: Grid, inner: Partition, slide_policy: SlidePolicy
+) -> Iterator[tuple[Cell, list[SlideStep]]]:
+    """Forward-slide ``grid`` in place until ``inner`` is empty; yield each corner and its moves.
+
+    Empty cells outside ``inner`` act as outside the shape, so vacated cells stay as ``None``.
+    """
+    while inner.parts:
+        corners = inner_corners(inner)
+        corner = Cell(*slide_policy(corners))
+        if corner not in corners:
+            raise DomainError(f"slide policy returned {corner}, not one of {corners}")
+        yield corner, _slide(grid, corner, 1)
+        inner = inner.remove_corner(corner)
+
+
 def rectify(p: Tableau, slide_policy: SlidePolicy = first_corner) -> Tableau:
     """Forward-slide until the inner shape is empty.
 
     The result does not depend on ``slide_policy``; the default picks the
     lexicographically smallest (row, col) inner corner so traces are stable.
     """
-    current = p
-    while not current.shape.is_normal:
-        corners = inner_corners(current.shape.inner)
-        start = Cell(*slide_policy(corners))
-        if start not in corners:
-            raise DomainError(f"slide policy returned {start}, not one of {corners}")
-        current, _ = forward_slide(current, start)
-    return current
+    if p.shape.is_normal:
+        return p
+    _require_partial(p)
+    grid = [list(row) for row in p.rows]
+    for _ in _rectify_slides(grid, p.shape.inner, slide_policy):
+        pass
+    rows = [[entry for entry in row if entry is not None] for row in grid]
+    return Tableau.normal([row for row in rows if row])
 
 
 def jdt_equivalent(p1: Tableau, p2: Tableau) -> bool:

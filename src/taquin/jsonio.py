@@ -8,6 +8,7 @@ travel as "p/q" strings.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -58,7 +59,8 @@ def encode_fraction(value: Fraction) -> str:
 def decode_fraction(value: Any) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
+    # Only "p/q" or an integer: Fraction alone takes "1e9999999", at a cost growing with it.
+    if isinstance(value, str) and re.fullmatch(r"[-+]?[0-9]+(/[0-9]+)?", value):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

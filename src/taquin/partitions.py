@@ -222,12 +222,13 @@ def skew_shape_of_cells(cells: Iterable[Cell]) -> SkewShape:
     if any(c.row < 1 or c.col < 1 for c in cellset):
         raise ShapeError("cells must have positive coordinates")
 
-    num_rows = max(c.row for c in cellset)
+    cols_by_row: dict[int, list[int]] = {}
+    for c in cellset:
+        cols_by_row.setdefault(c.row, []).append(c.col)
+    num_rows = max(cols_by_row)
     bounds: list[tuple[int, int] | None] = [None] * (num_rows + 1)
-    for i in range(1, num_rows + 1):
-        cols = sorted(c.col for c in cellset if c.row == i)
-        if not cols:
-            continue
+    for i, cols in sorted(cols_by_row.items()):
+        cols.sort()
         if cols[-1] - cols[0] + 1 != len(cols):
             raise ShapeError(f"row {i} has a gap: columns {cols}")
         bounds[i] = (cols[0], cols[-1])

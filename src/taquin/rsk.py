@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError, ResourceLimitError
-from .tableaux import Tableau, is_standard, row_insert, reverse_bump
+from .tableaux import Tableau, _bump, _unbump, is_standard
 
 
 @dataclass(frozen=True)
@@ -42,15 +42,15 @@ def rsk(pi: Permutation) -> tuple[Tableau, Tableau]:
     tableau marks, with k, the cell created by the k-th insertion, so both
     grow through the same shape chain.
     """
-    p = Tableau.normal([])
+    p_rows: list[list[int]] = []
     q_rows: list[list[int]] = []
     for k, value in enumerate(pi.word, start=1):
-        p, added = row_insert(p, value)
-        if added.row > len(q_rows):
+        i = _bump(p_rows, value)
+        if i == len(q_rows):
             q_rows.append([k])
         else:
-            q_rows[added.row - 1].append(k)
-    return p, Tableau.normal(q_rows)
+            q_rows[i].append(k)
+    return Tableau.normal(p_rows), Tableau.normal(q_rows)
 
 
 def rsk_inverse(p: Tableau, q: Tableau) -> Permutation:
@@ -60,13 +60,10 @@ def rsk_inverse(p: Tableau, q: Tableau) -> Permutation:
     if not (is_standard(p) and is_standard(q)):
         raise DomainError("both tableaux must be standard")
 
-    placement = q.to_cell_map()
-    cell_by_step = {step: cell for cell, step in placement.items()}
-    word: list[int] = []
-    current = p
-    for k in range(p.size, 0, -1):
-        current, value = reverse_bump(current, cell_by_step[k])
-        word.append(value)
+    # Q standard makes the cell holding k a corner once k+1..n are undone.
+    row_by_step = {step: cell.row - 1 for cell, step in q.to_cell_map().items()}
+    rows = [list(row) for row in p.rows]
+    word = [_unbump(rows, row_by_step[k]) for k in range(p.size, 0, -1)]
     word.reverse()
     return Permutation(tuple(word))
 

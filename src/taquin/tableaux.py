@@ -16,6 +16,13 @@ from .errors import DomainError, ResourceLimitError, TableauError
 from .partitions import Cell, Partition, SkewShape, inner_corners, skew_shape_of_cells
 
 
+def _at(rows: Sequence[Sequence[int | None]], i: int, j: int) -> int | None:
+    """Entry at 1-based (i, j) of a grid of rows; None on an empty cell or off the grid."""
+    if 1 <= i <= len(rows) and 1 <= j <= len(rows[i - 1]):
+        return rows[i - 1][j - 1]
+    return None
+
+
 class FillKind(Enum):
     GENERALIZED = "generalized"
     PARTIAL = "partial"
@@ -97,9 +104,7 @@ class Tableau:
 
     def get(self, i: int, j: int) -> int | None:
         """Entry at 1-based (i, j); None outside the grid or on an empty cell."""
-        if 1 <= i <= len(self.rows) and 1 <= j <= len(self.rows[i - 1]):
-            return self.rows[i - 1][j - 1]
-        return None
+        return _at(self.rows, i, j)
 
     def cell_of(self, value: int) -> Cell:
         for i, row in enumerate(self.rows, start=1):
@@ -154,12 +159,35 @@ def _require_normal_partial(t: Tableau, op: str) -> None:
         raise DomainError(f"{op} needs strictly increasing rows and columns")
 
 
-def row_insert(p: Tableau, x: int) -> tuple[Tableau, Cell]:
-    """Insert ``x`` by row bumping, returning the new tableau and the added cell.
+def _bump(rows: list[list[int]], x: int) -> int:
+    """Row-insert ``x`` in place; return the 0-based row that grew.
 
     Each row either absorbs the incoming value at its end or has its smallest
     entry exceeding the value displaced into the next row.
     """
+    for i, row in enumerate(rows):
+        pos = bisect_right(row, x)
+        if pos == len(row):
+            row.append(x)
+            return i
+        x, row[pos] = row[pos], x
+    rows.append([x])
+    return len(rows) - 1
+
+
+def _unbump(rows: list[list[int]], i: int) -> int:
+    """Undo in place the insertion that grew 0-based row ``i``, whose end is a corner."""
+    x = rows[i].pop()
+    if not rows[i]:
+        rows.pop()
+    for row in reversed(rows[:i]):
+        pos = bisect_left(row, x) - 1
+        x, row[pos] = row[pos], x
+    return x
+
+
+def row_insert(p: Tableau, x: int) -> tuple[Tableau, Cell]:
+    """Insert ``x`` by row bumping, returning the new tableau and the added cell."""
     _require_normal_partial(p, "row_insert")
     if not isinstance(x, int) or isinstance(x, bool) or x < 1:
         raise DomainError(f"can only insert positive integers, got {x!r}")
@@ -167,18 +195,7 @@ def row_insert(p: Tableau, x: int) -> tuple[Tableau, Cell]:
         raise DomainError(f"entry {x} already present")
 
     rows = [list(row) for row in p.rows]
-    current = x
-    i = 0
-    while i < len(rows):
-        row = rows[i]
-        pos = bisect_right(row, current)
-        if pos == len(row):
-            break
-        current, row[pos] = row[pos], current
-        i += 1
-    if i == len(rows):
-        rows.append([])
-    rows[i].append(current)
+    i = _bump(rows, x)
     return Tableau.normal(rows), Cell(i + 1, len(rows[i]))
 
 
@@ -190,14 +207,8 @@ def reverse_bump(p: Tableau, cell: Cell) -> tuple[Tableau, int]:
         raise DomainError(f"{cell} is not an inner corner of {p.shape.outer.parts}")
 
     rows = [list(row) for row in p.rows]
-    current = rows[cell.row - 1].pop()
-    if not rows[cell.row - 1]:
-        rows.pop()
-    for k in range(cell.row - 2, -1, -1):
-        row = rows[k]
-        pos = bisect_left(row, current) - 1
-        current, row[pos] = row[pos], current
-    return Tableau.normal(rows), current
+    value = _unbump(rows, cell.row - 1)
+    return Tableau.normal(rows), value
 
 
 def reading_word(t: Tableau) -> tuple[int, ...]:

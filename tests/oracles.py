@@ -1,0 +1,361 @@
+"""The loop-per-function implementations that the slide and bump kernels replaced.
+
+Each function here is the library's earlier code, kept unchanged as a
+differential oracle: every slide, completion cascade, rectification and RSK
+step is written out on its own, with validation on every call.  The tests in
+``test_kernels.py`` require the library to agree with them move for move.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
+from fractions import Fraction
+from typing import Iterable
+
+from taquin.errors import DomainError
+from taquin.hms import (
+    CapacityGrid,
+    Completion,
+    HmtState,
+    ReassignmentTrace,
+    RectifyCorner,
+    Relocation,
+    StateKind,
+    TaskRun,
+    TaskSet,
+    TraceEvent,
+    TurnaroundReport,
+    classify_state,
+    maximally_embedded,
+)
+from taquin.jdt import SlidePolicy, SlideStep, first_corner
+from taquin.partitions import Cell, SkewShape, inner_corners, outer_corners
+from taquin.rsk import Permutation
+from taquin.tableaux import ShapeKind, Tableau, is_partial, is_standard
+
+
+def _require_normal_partial(t: Tableau, op: str) -> None:
+    if not t.shape.is_normal:
+        raise DomainError(f"{op} needs a normal-shape tableau")
+    if not is_partial(t):
+        raise DomainError(f"{op} needs strictly increasing rows and columns")
+
+
+def row_insert(p: Tableau, x: int) -> tuple[Tableau, Cell]:
+    """Insert ``x`` by row bumping, returning the new tableau and the added cell.
+
+    Each row either absorbs the incoming value at its end or has its smallest
+    entry exceeding the value displaced into the next row.
+    """
+    _require_normal_partial(p, "row_insert")
+    if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+        raise DomainError(f"can only insert positive integers, got {x!r}")
+    if x in p.entries:
+        raise DomainError(f"entry {x} already present")
+
+    rows = [list(row) for row in p.rows]
+    current = x
+    i = 0
+    while i < len(rows):
+        row = rows[i]
+        pos = bisect_right(row, current)
+        if pos == len(row):
+            break
+        current, row[pos] = row[pos], current
+        i += 1
+    if i == len(rows):
+        rows.append([])
+    rows[i].append(current)
+    return Tableau.normal(rows), Cell(i + 1, len(rows[i]))
+
+
+def reverse_bump(p: Tableau, cell: Cell) -> tuple[Tableau, int]:
+    """Undo a row insertion that ended at ``cell`` (an inner corner of the shape)."""
+    _require_normal_partial(p, "reverse_bump")
+    cell = Cell(*cell)
+    if cell not in inner_corners(p.shape.outer):
+        raise DomainError(f"{cell} is not an inner corner of {p.shape.outer.parts}")
+
+    rows = [list(row) for row in p.rows]
+    current = rows[cell.row - 1].pop()
+    if not rows[cell.row - 1]:
+        rows.pop()
+    for k in range(cell.row - 2, -1, -1):
+        row = rows[k]
+        pos = bisect_left(row, current) - 1
+        current, row[pos] = row[pos], current
+    return Tableau.normal(rows), current
+
+
+def rsk(pi: Permutation) -> tuple[Tableau, Tableau]:
+    """Map a permutation to its insertion and recording tableau pair.
+
+    The insertion tableau accumulates the word by row bumping; the recording
+    tableau marks, with k, the cell created by the k-th insertion, so both
+    grow through the same shape chain.
+    """
+    p = Tableau.normal([])
+    q_rows: list[list[int]] = []
+    for k, value in enumerate(pi.word, start=1):
+        p, added = row_insert(p, value)
+        if added.row > len(q_rows):
+            q_rows.append([k])
+        else:
+            q_rows[added.row - 1].append(k)
+    return p, Tableau.normal(q_rows)
+
+
+def rsk_inverse(p: Tableau, q: Tableau) -> Permutation:
+    """Recover the unique permutation whose insertion/recording pair is (p, q)."""
+    if not (p.shape.is_normal and q.shape.is_normal and p.shape == q.shape):
+        raise DomainError("insertion and recording tableaux must share one normal shape")
+    if not (is_standard(p) and is_standard(q)):
+        raise DomainError("both tableaux must be standard")
+
+    placement = q.to_cell_map()
+    cell_by_step = {step: cell for cell, step in placement.items()}
+    word: list[int] = []
+    current = p
+    for k in range(p.size, 0, -1):
+        current, value = reverse_bump(current, cell_by_step[k])
+        word.append(value)
+    word.reverse()
+    return Permutation(tuple(word))
+
+
+def forward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[SlideStep, ...]]:
+    """Forward slide returning the result, the vacated cell, and every hole move."""
+    start = Cell(*start)
+    if not is_partial(p):
+        raise DomainError("slides are defined on strictly increasing tableaux")
+    if start not in inner_corners(p.shape.inner):
+        raise DomainError(f"{start} is not an inner corner of {p.shape.inner.parts}")
+
+    entries = p.to_cell_map()
+    stops = set(inner_corners(p.shape.outer))
+    hole = start
+    steps: list[SlideStep] = []
+    while hole not in stops:
+        right = entries.get(Cell(hole.row, hole.col + 1))
+        below = entries.get(Cell(hole.row + 1, hole.col))
+        assert right != below or right is None  # entries are distinct
+        if below is None or (right is not None and right < below):
+            source = Cell(hole.row, hole.col + 1)
+            moved = right
+        else:
+            source = Cell(hole.row + 1, hole.col)
+            moved = below
+        assert moved is not None  # a non-corner hole always has an occupied neighbor
+        steps.append(SlideStep(hole, moved, source))
+        entries[hole] = moved
+        del entries[source]
+        hole = source
+
+    new_shape = SkewShape(
+        p.shape.outer.remove_corner(hole),
+        p.shape.inner.remove_corner(start),
+    )
+    return _rebuild(new_shape, entries), hole, tuple(steps)
+
+
+def backward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[SlideStep, ...]]:
+    """Backward slide returning the result, the vacated cell, and every hole move."""
+    start = Cell(*start)
+    if not is_partial(p):
+        raise DomainError("slides are defined on strictly increasing tableaux")
+    if start not in outer_corners(p.shape.outer):
+        raise DomainError(f"{start} is not an outer corner of {p.shape.outer.parts}")
+
+    entries = p.to_cell_map()
+    stops = set(outer_corners(p.shape.inner))
+    hole = start
+    steps: list[SlideStep] = []
+    while hole not in stops:
+        above = entries.get(Cell(hole.row - 1, hole.col))
+        left = entries.get(Cell(hole.row, hole.col - 1))
+        assert above != left or above is None
+        if left is None or (above is not None and above > left):
+            source = Cell(hole.row - 1, hole.col)
+            moved = above
+        else:
+            source = Cell(hole.row, hole.col - 1)
+            moved = left
+        assert moved is not None
+        steps.append(SlideStep(hole, moved, source))
+        entries[hole] = moved
+        del entries[source]
+        hole = source
+
+    new_shape = SkewShape(
+        p.shape.outer.add_corner(start),
+        p.shape.inner.add_corner(hole),
+    )
+    return _rebuild(new_shape, entries), hole, tuple(steps)
+
+
+def _rebuild(shape: SkewShape, entries: dict[Cell, int]) -> Tableau:
+    rows = tuple(
+        tuple(entries.get(Cell(i, j)) for j in range(1, shape.outer.row_len(i) + 1))
+        for i in range(1, shape.outer.num_rows + 1)
+    )
+    return Tableau(shape, rows)
+
+
+def forward_slide(p: Tableau, start: Cell) -> tuple[Tableau, Cell]:
+    """Slide into an inner corner of the inner shape; returns (result, vacated cell)."""
+    result, vacated, _ = forward_slide_trace(p, start)
+    return result, vacated
+
+
+def rectify(p: Tableau, slide_policy: SlidePolicy = first_corner) -> Tableau:
+    """Forward-slide until the inner shape is empty.
+
+    The result does not depend on ``slide_policy``; the default picks the
+    lexicographically smallest (row, col) inner corner so traces are stable.
+    """
+    current = p
+    while not current.shape.is_normal:
+        corners = inner_corners(current.shape.inner)
+        start = Cell(*slide_policy(corners))
+        if start not in corners:
+            raise DomainError(f"slide policy returned {start}, not one of {corners}")
+        current, _ = forward_slide(current, start)
+    return current
+
+
+def _require_standard_normal(state: HmtState, op: str) -> None:
+    kind, form = classify_state(state)
+    if kind is not StateKind.STANDARD or form is not ShapeKind.NORMAL:
+        raise DomainError(f"{op} needs a standard state of normal shape")
+
+
+def reassign_on_completion(state: HmtState, task: int) -> tuple[HmtState, tuple[Relocation, ...]]:
+    """Vacate the completed task's cell and run the greedy relocation cascade.
+
+    While the idle cell has an occupied right or below neighbour, the
+    higher-priority (smaller ID) of the two moves into it; the cascade stops
+    when both are idle or outside the grid, which leaves the state standard
+    and of normal shape again.
+    """
+    _require_standard_normal(state, "reassign_on_completion")
+    hole = state.cell_of(task)
+    grid = [list(row) for row in state.occupancy]
+    grid[hole.row - 1][hole.col - 1] = None
+
+    def occupant(i: int, j: int) -> int | None:
+        if 1 <= i <= len(grid) and 1 <= j <= len(grid[i - 1]):
+            return grid[i - 1][j - 1]
+        return None
+
+    relocations: list[Relocation] = []
+    while True:
+        right = occupant(hole.row, hole.col + 1)
+        below = occupant(hole.row + 1, hole.col)
+        if right is None and below is None:
+            break
+        if below is None or (right is not None and right < below):
+            source = Cell(hole.row, hole.col + 1)
+            mover = right
+        else:
+            source = Cell(hole.row + 1, hole.col)
+            mover = below
+        grid[hole.row - 1][hole.col - 1] = mover
+        grid[source.row - 1][source.col - 1] = None
+        relocations.append(Relocation(mover, source, hole))
+        hole = source
+
+    return state.with_occupancy(grid), tuple(relocations)
+
+
+def reassignment_sequence(a0: HmtState, completions: Iterable[int]) -> ReassignmentTrace:
+    """Fold completion events over ``a0``, recording each reassignment.
+
+    ``completions`` must be distinct task IDs assigned in ``a0`` (a full
+    permutation or any prefix of one).  The first m-1 completions trigger
+    relocation cascades; a final m-th completion leaves the lone surviving
+    assignment in place and is recorded as a flagged no-op event.
+    """
+    _require_standard_normal(a0, "reassignment_sequence")
+    completions = [int(task) for task in completions]
+    assigned = set(a0.task_cells())
+    if len(set(completions)) != len(completions):
+        raise DomainError("completion sequence repeats a task")
+    missing = [task for task in completions if task not in assigned]
+    if missing:
+        raise DomainError(f"completion of unassigned task {missing[0]}")
+
+    m = a0.task_count
+    events: list[TraceEvent] = []
+    state = a0
+    for index, task in enumerate(completions):
+        if index < m - 1:
+            state, relocations = reassign_on_completion(state, task)
+            events.append(TraceEvent(Completion(task), relocations, state))
+        else:
+            # The last task's completion empties the workload but moves nothing.
+            events.append(TraceEvent(Completion(task), (), state, noop=True))
+    return ReassignmentTrace(a0, tuple(events))
+
+
+def rectify_assignment(a0: HmtState, slide_policy: SlidePolicy = first_corner) -> ReassignmentTrace:
+    """Relocate greedily until the occupied region is left-justified and top-aligned.
+
+    Each event opens the chosen idle corner of the embedded inner shape and
+    cascades one full forward slide; after as many events as the inner shape
+    has cells, the state is standard and of normal shape.
+    """
+    shape, embedded = maximally_embedded(a0)
+    if not is_partial(embedded):
+        raise DomainError("rectify_assignment needs a standard state")
+
+    events: list[TraceEvent] = []
+    state = a0
+    current = embedded
+    while not current.shape.is_normal:
+        corners = inner_corners(current.shape.inner)
+        corner = Cell(*slide_policy(corners))
+        if corner not in corners:
+            raise DomainError(f"slide policy returned {corner}, not one of {corners}")
+        current, _, steps = forward_slide_trace(current, corner)
+        grid = [list(row) for row in state.occupancy]
+        relocations = []
+        for step in steps:
+            grid[step.hole.row - 1][step.hole.col - 1] = step.moved_entry
+            grid[step.source.row - 1][step.source.col - 1] = None
+            relocations.append(Relocation(step.moved_entry, step.source, step.hole))
+        state = state.with_occupancy(grid)
+        events.append(TraceEvent(RectifyCorner(corner), tuple(relocations), state))
+    return ReassignmentTrace(a0, tuple(events))
+
+
+def turnaround_sequential(
+    a0: HmtState,
+    tasks: TaskSet,
+    caps: CapacityGrid,
+    relocate: bool,
+) -> TurnaroundReport:
+    """Total turnaround of running tasks 1..m in priority order, one at a time.
+
+    Each duration is requirement/capacity at the cell the task occupies when
+    it starts.  With ``relocate`` the greedy cascade runs after every
+    completion (relocations are cost-free), so each next task starts on the
+    fastest processor; without it tasks run where initially assigned.
+    """
+    if caps.shape != a0.shape:
+        raise DomainError("capacity grid shape differs from state shape")
+    _require_standard_normal(a0, "turnaround_sequential")
+    m = a0.task_count
+    if sorted(a0.task_cells()) != list(range(1, m + 1)):
+        raise DomainError("assigned tasks must be exactly 1..m")
+    if tasks.m != m:
+        raise DomainError(f"need requirements for exactly {m} tasks, got {tasks.m}")
+
+    runs: list[TaskRun] = []
+    state = a0
+    for task in range(1, m + 1):
+        cell = state.cell_of(task) if relocate else a0.cell_of(task)
+        runs.append(TaskRun(task, cell, tasks.requirement(task) / caps.rate(cell)))
+        if relocate:
+            state, _ = reassign_on_completion(state, task)
+    total = sum((run.duration for run in runs), Fraction(0))
+    return TurnaroundReport(total, tuple(runs))

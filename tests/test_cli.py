@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 from taquin import figures
@@ -243,3 +244,41 @@ def test_bad_json_is_input_error(capsys, tmp_path):
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "count")[0] == 2
     assert run(capsys, "no-such-command")[0] == 2
+
+
+def assert_bounded_input_error(capsys, *argv):
+    """Exit 2 with one ``error:`` line, within 5 s."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_count_rejects_shapes_over_the_cell_bound(capsys):
+    assert_bounded_input_error(capsys, "count", "--shape", "8000,8000")
+
+
+def test_verify_identity_rejects_n_over_the_bound(capsys):
+    assert_bounded_input_error(capsys, "verify-identity", "--n", "60")
+
+
+def test_json_integer_over_the_digit_limit_is_input_error(capsys, tmp_path):
+    requirements = tmp_path / "r.json"
+    requirements.write_text('{"1": ' + "7" * 5000 + "}", encoding="utf-8")
+    state = str(STATES / "fig3_initial.json")
+    argv = ("turnaround", "--state", state, "--requirements", str(requirements))
+    assert_bounded_input_error(capsys, *argv)
+
+
+def test_json_nested_too_deep_is_input_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert_bounded_input_error(capsys, "check", "--state", str(path))
+
+
+def test_rational_with_exponent_is_input_error(capsys, tmp_path):
+    requirements = write(tmp_path, "r.json", {"1": "1e9999999"})
+    state = str(STATES / "fig3_initial.json")
+    argv = ("turnaround", "--state", state, "--requirements", requirements)
+    assert_bounded_input_error(capsys, *argv)

@@ -1,0 +1,148 @@
+"""Differential tests: the slide and bump kernels against the loop-per-function oracles.
+
+Every public function built on ``jdt._slide`` or ``tableaux._bump`` must agree
+with its earlier implementation in ``oracles.py``: same results, same slide
+steps and relocations in the same order, same trace states.
+"""
+
+from __future__ import annotations
+
+from random import Random
+
+import oracles
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from taquin import hms, jdt
+from taquin.hms import HmtState
+from taquin.partitions import Partition, SkewShape, inner_corners, outer_corners
+from taquin.randgen import (
+    random_hierarchical_capacities,
+    random_requirements,
+    random_standard_filling,
+)
+from taquin.rsk import Permutation, rsk, rsk_inverse
+from taquin.tableaux import reverse_bump, row_insert
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def partitions_in_box(draw, rows: int, cols: int, min_cells: int = 0) -> Partition:
+    parts = sorted(draw(st.lists(st.integers(1, cols), max_size=rows)), reverse=True)
+    if sum(parts) < min_cells:
+        parts = [cols] * rows
+    return Partition(tuple(parts))
+
+
+@st.composite
+def skew_shapes(draw, rows: int, cols: int) -> SkewShape:
+    outer = draw(partitions_in_box(rows, cols, min_cells=1))
+    # Sorting row-wise bounded lengths keeps each one inside its outer row.
+    inner = sorted((draw(st.integers(0, part)) for part in outer.parts), reverse=True)
+    return SkewShape(outer, Partition(tuple(part for part in inner if part)))
+
+
+@st.composite
+def skew_syt(draw, rows: int = 8, cols: int = 8):
+    """A standard filling of a random skew shape of up to rows x cols (64) cells."""
+    return random_standard_filling(Random(draw(SEEDS)), draw(skew_shapes(rows, cols)))
+
+
+def embed(filling, rows: int, cols: int) -> HmtState:
+    grid = [[None] * cols for _ in range(rows)]
+    for cell, entry in filling.to_cell_map().items():
+        grid[cell.row - 1][cell.col - 1] = entry
+    return HmtState(Partition((cols,) * rows), grid)
+
+
+def policies(seed: int):
+    """Fresh first-corner, last-corner and seeded random slide policies."""
+    rng = Random(seed)
+    return (
+        jdt.first_corner,
+        lambda corners: corners[-1],
+        lambda corners: corners[rng.randrange(len(corners))],
+    )
+
+
+def recording(policy, seen: list):
+    def record(corners):
+        seen.append(tuple(corners))
+        return policy(corners)
+
+    return record
+
+
+@settings(max_examples=60, deadline=None)
+@given(skew_syt())
+def test_slide_traces_match_oracle(t):
+    for corner in inner_corners(t.shape.inner):
+        assert jdt.forward_slide_trace(t, corner) == oracles.forward_slide_trace(t, corner)
+    for corner in outer_corners(t.shape.outer):
+        assert jdt.backward_slide_trace(t, corner) == oracles.backward_slide_trace(t, corner)
+
+
+@settings(max_examples=60, deadline=None)
+@given(skew_syt(), SEEDS)
+def test_rectify_matches_oracle_under_every_policy(t, seed):
+    for new, old in zip(policies(seed), policies(seed)):
+        new_seen, old_seen = [], []
+        result = jdt.rectify(t, recording(new, new_seen))
+        assert result == oracles.rectify(t, recording(old, old_seen))
+        assert new_seen == old_seen
+
+
+@st.composite
+def normal_meshes(draw, max_side: int = 12) -> HmtState:
+    """A standard normal state on a mesh of up to 12 x 12; every cell is busy half the time."""
+    rows, cols = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    region = Partition((cols,) * rows)
+    if draw(st.booleans()):
+        region = draw(partitions_in_box(rows, cols, min_cells=1))
+    return embed(random_standard_filling(Random(draw(SEEDS)), SkewShape(region)), rows, cols)
+
+
+@settings(max_examples=40, deadline=None)
+@given(normal_meshes(), SEEDS, st.data())
+def test_completions_match_oracle(state, seed, data):
+    rng = Random(seed)
+    order = list(range(1, state.task_count + 1))
+    rng.shuffle(order)
+    order = order[: data.draw(st.integers(1, len(order)))]
+    assert hms.reassign_on_completion(state, order[0]) == oracles.reassign_on_completion(
+        state, order[0]
+    )
+    assert hms.reassignment_sequence(state, order) == oracles.reassignment_sequence(state, order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(normal_meshes(), SEEDS)
+def test_turnaround_matches_oracle(state, seed):
+    rng = Random(seed)
+    caps = random_hierarchical_capacities(rng, state.shape)
+    tasks = random_requirements(rng, state.task_count)
+    for relocate in (False, True):
+        new = hms.turnaround_sequential(state, tasks, caps, relocate)
+        assert new == oracles.turnaround_sequential(state, tasks, caps, relocate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(skew_syt(), st.integers(0, 3), st.integers(0, 3), SEEDS)
+def test_rectify_assignment_matches_oracle(t, extra_rows, extra_cols, seed):
+    state = embed(t, t.shape.outer.num_rows + extra_rows, t.shape.outer.parts[0] + extra_cols)
+    for new, old in zip(policies(seed), policies(seed)):
+        trace = hms.rectify_assignment(state, new)
+        assert trace == oracles.rectify_assignment(state, old)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 300).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_rsk_and_inverse_match_oracle(word):
+    pi = Permutation(tuple(word))
+    p, q = rsk(pi)
+    assert (p, q) == oracles.rsk(pi)
+    assert rsk_inverse(p, q) == oracles.rsk_inverse(p, q) == pi
+    assert row_insert(p, pi.n + 1) == oracles.row_insert(p, pi.n + 1)
+    for corner in inner_corners(p.shape.outer):
+        assert reverse_bump(p, corner) == oracles.reverse_bump(p, corner)
