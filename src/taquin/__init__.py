@@ -43,10 +43,8 @@ from .rsk import (
 )
 from .jdt import (
     SlideStep,
-    backward_slide,
     backward_slide_trace,
     first_corner,
-    forward_slide,
     forward_slide_trace,
     jdt_equivalent,
     rectify,
@@ -55,7 +53,6 @@ from .hms import (
     CapacityGrid,
     Completion,
     HmtState,
-    MeshGraph,
     ReassignmentTrace,
     RectifyCorner,
     Relocation,
@@ -68,7 +65,6 @@ from .hms import (
     default_capacity_grid,
     descent_pairs,
     maximally_embedded,
-    mesh_graph,
     naive_slide_up,
     reassign_on_completion,
     reassignment_equivalent,

@@ -13,11 +13,12 @@ import os
 import sys
 from pathlib import Path
 from random import Random
-from typing import Any
+from typing import Any, NoReturn
 
 from . import figures
 from .errors import ResourceLimitError, TaquinError
 from .hms import (
+    HmtState,
     classify_state,
     default_capacity_grid,
     descent_pairs,
@@ -52,6 +53,15 @@ DEFAULT_SEED = 1729
 SEED_ENV_VAR = "TAQUIN_SEED"
 MAX_COUNT_CELLS = 2000  # f <= sqrt(n!) then prints within the 4300-digit int-to-str limit
 MAX_IDENTITY_N = 40  # the check walks all p(n) shapes: ~2 s at n=40, ~12 s at n=50
+MAX_RANDOM_TRIALS = 10000  # about 0.55 ms a trial, so about 6 s
+MAX_TRACE_CELLS = 1024  # one state per event: a 32x32 trace is ~22 MB of JSON, growing as cells^2
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise, so they print as one ``error:`` line like every other input error."""
+
+    def error(self, message: str) -> NoReturn:
+        raise TaquinError(message)
 
 
 def _seed() -> int:
@@ -79,6 +89,15 @@ def _load_json(path: str) -> Any:
         raise TaquinError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # also over-long integers, over-deep nesting
         raise TaquinError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _load_traced_state(path: str) -> HmtState:
+    state = decode_hmt_state(_load_json(path))
+    if state.shape.n > MAX_TRACE_CELLS:
+        raise ResourceLimitError(
+            f"mesh has {state.shape.n} cells; traces are bounded to {MAX_TRACE_CELLS}"
+        )
+    return state
 
 
 def _emit(obj: Any, trace_path: str | None = None) -> None:
@@ -145,14 +164,14 @@ def _cmd_rsk(args: argparse.Namespace) -> int:
 
 
 def _cmd_rectify(args: argparse.Namespace) -> int:
-    state = decode_hmt_state(_load_json(args.state))
+    state = _load_traced_state(args.state)
     trace = rectify_assignment(state)
     _emit(encode_trace(trace), args.trace)
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    state = decode_hmt_state(_load_json(args.state))
+    state = _load_traced_state(args.state)
     completions = _parse_int_list(args.completions, "--completions")
     trace = reassignment_sequence(state, completions)
     _emit(encode_trace(trace), args.trace)
@@ -160,6 +179,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _turnaround_random(args: argparse.Namespace) -> int:
+    if args.random < 0:
+        raise TaquinError(f"--random needs N >= 0, got {args.random}")
+    if args.random > MAX_RANDOM_TRIALS:
+        raise ResourceLimitError(f"--random is bounded to N <= {MAX_RANDOM_TRIALS}")
     seed = _seed()
     rng = Random(seed)
     violations = []
@@ -261,7 +284,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="taquin",
         description="Tableau combinatorics and hierarchical-mesh task reassignment.",
     )
@@ -328,13 +351,11 @@ def main(argv: list[str] | None = None) -> int:
     # Accept the meta-command spelling `taquin --figures [...]`.
     if argv and argv[0] == "--figures":
         argv = ["figures", *argv[1:]]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except TaquinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, NamedTuple
 from .errors import DomainError, InvalidStateError, ShapeError
 from .jdt import Grid, SlidePolicy, SlideStep, _rectify_slides, _slide, first_corner
 from .partitions import Cell, Partition, SkewShape
-from .tableaux import ShapeKind, Tableau, _at, is_partial
+from .tableaux import ShapeKind, Tableau, _at, _cells, is_partial
 
 
 class StateKind(Enum):
@@ -159,55 +159,22 @@ class HmtState:
         return _at(self.occupancy, i, j)
 
     def task_cells(self) -> dict[int, Cell]:
-        return {
-            task: Cell(i, j)
-            for i, row in enumerate(self.occupancy, start=1)
-            for j, task in enumerate(row, start=1)
-            if task is not None
-        }
+        return {task: cell for cell, task in _cells(self.occupancy)}
 
     def cell_of(self, task: int) -> Cell:
-        cells = self.task_cells()
-        if task not in cells:
-            raise DomainError(f"task {task} is not assigned")
-        return cells[task]
+        for cell, entry in _cells(self.occupancy):
+            if entry == task:
+                return cell
+        raise DomainError(f"task {task} is not assigned")
 
     def with_occupancy(self, grid: Iterable[Iterable[int | None]]) -> HmtState:
         return HmtState(self.shape, tuple(tuple(row) for row in grid), self.capacities)
 
 
-@dataclass(frozen=True)
-class MeshGraph:
-    """Cells of a (skew) shape joined by unit horizontal/vertical links."""
-
-    vertices: frozenset[Cell]
-    edges: frozenset[tuple[Cell, Cell]]
-    directed: bool
-
-
-def mesh_graph(shape: SkewShape, directed: bool = False) -> MeshGraph:
-    """Graph on the cells of ``shape``; horizontal edges point right, vertical down.
-
-    Undirected graphs use the same (left-or-above, right-or-below) edge
-    orientation as a canonical representative.
-    """
-    vertices = frozenset(shape.cells())
-    edges = set()
-    for cell in vertices:
-        right = Cell(cell.row, cell.col + 1)
-        below = Cell(cell.row + 1, cell.col)
-        if right in vertices:
-            edges.add((cell, right))
-        if below in vertices:
-            edges.add((cell, below))
-    return MeshGraph(vertices, frozenset(edges), directed)
-
-
 def maximally_embedded(state: HmtState) -> tuple[SkewShape, Tableau]:
     """The skew shape of the occupied cells and the tableau they form."""
-    cells = {cell: task for task, cell in state.task_cells().items()}
     try:
-        embedded = Tableau.from_cells(cells)
+        embedded = Tableau.from_cells(dict(_cells(state.occupancy)))
     except ShapeError as exc:
         raise InvalidStateError(f"occupied cells do not form a tableau region: {exc}") from exc
     if not state.shape.contains(embedded.shape.outer):
@@ -230,16 +197,14 @@ def descent_pairs(state: HmtState) -> tuple[tuple[Cell, Cell], ...]:
     row-major scan order.  Works on any occupancy, valid region or not.
     """
     pairs: list[tuple[Cell, Cell]] = []
-    for i, row in enumerate(state.occupancy, start=1):
-        for j, task in enumerate(row, start=1):
-            if task is None:
-                continue
-            right = state.get(i, j + 1)
-            if right is not None and right < task:
-                pairs.append((Cell(i, j), Cell(i, j + 1)))
-            below = state.get(i + 1, j)
-            if below is not None and below < task:
-                pairs.append((Cell(i, j), Cell(i + 1, j)))
+    for cell, task in _cells(state.occupancy):
+        i, j = cell
+        right = state.get(i, j + 1)
+        if right is not None and right < task:
+            pairs.append((cell, Cell(i, j + 1)))
+        below = state.get(i + 1, j)
+        if below is not None and below < task:
+            pairs.append((cell, Cell(i + 1, j)))
     return tuple(pairs)
 
 

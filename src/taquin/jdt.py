@@ -95,18 +95,6 @@ def backward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[
     return Tableau(shape, grid), vacated, tuple(steps)
 
 
-def forward_slide(p: Tableau, start: Cell) -> tuple[Tableau, Cell]:
-    """Slide into an inner corner of the inner shape; returns (result, vacated cell)."""
-    result, vacated, _ = forward_slide_trace(p, start)
-    return result, vacated
-
-
-def backward_slide(p: Tableau, start: Cell) -> tuple[Tableau, Cell]:
-    """Slide into an outer corner of the outer shape; returns (result, vacated cell)."""
-    result, vacated, _ = backward_slide_trace(p, start)
-    return result, vacated
-
-
 def _rectify_slides(
     grid: Grid, inner: Partition, slide_policy: SlidePolicy
 ) -> Iterator[tuple[Cell, list[SlideStep]]]:

@@ -140,15 +140,17 @@ def encode_capacity_rates(caps: CapacityGrid) -> list[list[str]]:
     return [[encode_fraction(rate) for rate in row] for row in caps.rates]
 
 
+def _decode_rates(obj: Any, what: str) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(
+        tuple(decode_fraction(rate) for rate in _expect_list(row, "capacity row"))
+        for row in _expect_list(obj, what)
+    )
+
+
 def decode_capacity_grid(obj: Any) -> CapacityGrid:
     data = _expect_object(obj, "capacity grid")
     shape = decode_partition(data.get("shape", []))
-    rows = _expect_list(data.get("c", []), "capacity rows")
-    rates = tuple(
-        tuple(decode_fraction(rate) for rate in _expect_list(row, "capacity row"))
-        for row in rows
-    )
-    return CapacityGrid(shape, rates)
+    return CapacityGrid(shape, _decode_rates(data.get("c", []), "capacity rows"))
 
 
 def encode_hmt_state(state: HmtState) -> dict:
@@ -174,11 +176,7 @@ def decode_hmt_state(obj: Any) -> HmtState:
     )
     capacities = None
     if "capacities" in data and data["capacities"] is not None:
-        rates = tuple(
-            tuple(decode_fraction(rate) for rate in _expect_list(row, "capacity row"))
-            for row in _expect_list(data["capacities"], "capacities")
-        )
-        capacities = CapacityGrid(shape, rates)
+        capacities = CapacityGrid(shape, _decode_rates(data["capacities"], "capacities"))
     return HmtState(shape, grid, capacities)
 
 

@@ -123,9 +123,6 @@ class SkewShape:
     def size(self) -> int:
         return self.outer.n - self.inner.n
 
-    def inner_len(self, i: int) -> int:
-        return self.inner.row_len(i)
-
     def contains_cell(self, cell: Cell) -> bool:
         return self.outer.contains_cell(cell) and not self.inner.contains_cell(cell)
 

@@ -82,6 +82,13 @@ def random_skew_syt(rng: Random, max_cells: int, min_cells: int = 1) -> Tableau:
             return random_standard_filling(rng, shape)
 
 
+def _place(filling: Tableau, rows: int, cols: int) -> HmtState:
+    """The state of a ``rows`` x ``cols`` mesh holding ``filling`` in its top-left cells."""
+    grid = [list(row) + [None] * (cols - len(row)) for row in filling.rows]
+    grid += [[None] * cols for _ in range(rows - len(grid))]
+    return HmtState(Partition((cols,) * rows), grid)
+
+
 def random_standard_assignment(
     rng: Random,
     max_rows: int = 4,
@@ -94,13 +101,8 @@ def random_standard_assignment(
     while rows * cols < min_tasks:
         rows = rng.randint(1, max_rows)
         cols = rng.randint(1, max_cols)
-    grid_shape = Partition((cols,) * rows)
     region = random_partition_in_box(rng, rows, cols, min_cells=min_tasks)
-    filling = random_standard_filling(rng, SkewShape(region))
-    grid: list[list[int | None]] = [[None] * cols for _ in range(rows)]
-    for cell, task in filling.to_cell_map().items():
-        grid[cell.row - 1][cell.col - 1] = task
-    return HmtState(grid_shape, tuple(tuple(row) for row in grid))
+    return _place(random_standard_filling(rng, SkewShape(region)), rows, cols)
 
 
 def random_skew_assignment(
@@ -115,17 +117,12 @@ def random_skew_assignment(
         cols = rng.randint(1, max_cols)
         if rows * cols < min_tasks + 1:
             continue
-        grid_shape = Partition((cols,) * rows)
         outer = random_partition_in_box(rng, rows, cols, min_cells=min_tasks + 1)
         inner = random_subpartition(rng, outer)
         shape = SkewShape(outer, inner)
         if not inner.parts or shape.size < min_tasks:
             continue
-        filling = random_standard_filling(rng, shape)
-        grid: list[list[int | None]] = [[None] * cols for _ in range(rows)]
-        for cell, task in filling.to_cell_map().items():
-            grid[cell.row - 1][cell.col - 1] = task
-        return HmtState(grid_shape, tuple(tuple(row) for row in grid))
+        return _place(random_standard_filling(rng, shape), rows, cols)
 
 
 def random_hierarchical_capacities(rng: Random, shape: Partition) -> CapacityGrid:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import DomainError, ResourceLimitError
 from .tableaux import Tableau, _bump, _unbump, is_standard
@@ -21,10 +20,6 @@ class Permutation:
         object.__setattr__(self, "word", word)
         if sorted(word) != list(range(1, len(word) + 1)):
             raise DomainError(f"{word} is not a rearrangement of 1..{len(word)}")
-
-    @classmethod
-    def of(cls, word: Iterable[int]) -> Permutation:
-        return cls(tuple(word))
 
     @classmethod
     def identity(cls, n: int) -> Permutation:

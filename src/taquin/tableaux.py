@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, ResourceLimitError, TableauError
 from .partitions import Cell, Partition, SkewShape, inner_corners, skew_shape_of_cells
@@ -21,6 +21,14 @@ def _at(rows: Sequence[Sequence[int | None]], i: int, j: int) -> int | None:
     if 1 <= i <= len(rows) and 1 <= j <= len(rows[i - 1]):
         return rows[i - 1][j - 1]
     return None
+
+
+def _cells(rows: Sequence[Sequence[int | None]]) -> Iterator[tuple[Cell, int]]:
+    """(cell, entry) for every filled cell of a grid of rows, in row-major order."""
+    for i, row in enumerate(rows, start=1):
+        for j, entry in enumerate(row, start=1):
+            if entry is not None:
+                yield Cell(i, j), entry
 
 
 class FillKind(Enum):
@@ -107,19 +115,13 @@ class Tableau:
         return _at(self.rows, i, j)
 
     def cell_of(self, value: int) -> Cell:
-        for i, row in enumerate(self.rows, start=1):
-            for j, entry in enumerate(row, start=1):
-                if entry == value:
-                    return Cell(i, j)
+        for cell, entry in _cells(self.rows):
+            if entry == value:
+                return cell
         raise DomainError(f"entry {value} not present")
 
     def to_cell_map(self) -> dict[Cell, int]:
-        return {
-            Cell(i, j): entry
-            for i, row in enumerate(self.rows, start=1)
-            for j, entry in enumerate(row, start=1)
-            if entry is not None
-        }
+        return dict(_cells(self.rows))
 
 
 def is_partial(t: Tableau) -> bool:

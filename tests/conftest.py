@@ -9,7 +9,7 @@ from typing import Iterator
 from hypothesis import strategies as st
 
 from taquin.hms import HmtState, ReassignmentTrace
-from taquin.jdt import backward_slide, forward_slide
+from taquin.jdt import backward_slide_trace, forward_slide_trace
 from taquin.partitions import Cell, Partition, SkewShape, inner_corners, outer_corners
 from taquin.randgen import random_skew_syt, random_standard_filling
 from taquin.rsk import Permutation
@@ -88,7 +88,7 @@ def exhaustive_rectifications(
         return cached
     results: set[Tableau] = set()
     for corner in inner_corners(t.shape.inner):
-        slid, _ = forward_slide(t, corner)
+        slid, _, _ = forward_slide_trace(t, corner)
         results |= exhaustive_rectifications(slid, memo)
     frozen = frozenset(results)
     memo[t] = frozen
@@ -109,7 +109,7 @@ def equivalent_skew_pair(rng: Random, max_cells: int = 8) -> tuple[Tableau, Tabl
         current = base
         for _ in range(rng.randint(1, 3)):
             corners = outer_corners(current.shape.outer)
-            current, _ = backward_slide(current, corners[rng.randrange(len(corners))])
+            current, _, _ = backward_slide_trace(current, corners[rng.randrange(len(corners))])
         pair.append(current)
     return pair[0], pair[1]
 

@@ -203,6 +203,21 @@ def test_turnaround_random_is_seeded_and_deterministic(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["seed"] == 1729
 
 
+def test_turnaround_random_output_is_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("TAQUIN_SEED", "1729")
+    code, out, err = run(capsys, "turnaround", "--random", "20")
+    assert (code, err) == (0, "")
+    assert out == (
+        "{\n"
+        '  "all_improved": true,\n'
+        '  "min_difference": "80/4653",\n'
+        '  "seed": 1729,\n'
+        '  "trials": 20,\n'
+        '  "violations": []\n'
+        "}\n"
+    )
+
+
 def test_turnaround_requires_inputs(capsys):
     code, _, err = run(capsys, "turnaround")
     assert code == 2 and "turnaround needs" in err
@@ -282,3 +297,35 @@ def test_rational_with_exponent_is_input_error(capsys, tmp_path):
     state = str(STATES / "fig3_initial.json")
     argv = ("turnaround", "--state", state, "--requirements", requirements)
     assert_bounded_input_error(capsys, *argv)
+
+
+def test_argparse_usage_errors_are_one_line(capsys):
+    assert_bounded_input_error(capsys, "count")
+    assert_bounded_input_error(capsys, "verify-identity", "--n", "9" * 5000)
+    assert_bounded_input_error(capsys, "no-such-command")
+    assert_bounded_input_error(capsys, "turnaround", "--compare", "--relocate")
+
+
+def test_help_still_prints_usage_to_stdout(capsys):
+    code, out, err = run(capsys, "count", "--help")
+    assert code == 0 and out.startswith("usage: taquin count") and err == ""
+
+
+def test_turnaround_random_rejects_negative_trials(capsys):
+    assert_bounded_input_error(capsys, "turnaround", "--random", "-5")
+
+
+def test_turnaround_random_rejects_trials_over_the_bound(capsys):
+    assert_bounded_input_error(capsys, "turnaround", "--random", "10001")
+
+
+def test_simulate_and_rectify_reject_meshes_over_the_cell_bound(capsys, tmp_path):
+    k = 33
+    full = write(tmp_path, "full.json", {"shape": [k] * k, "cells": [
+        [i * k + j + 1 for j in range(k)] for i in range(k)
+    ]})
+    assert_bounded_input_error(capsys, "simulate", "--state", full, "--completions", "1")
+    skew = write(tmp_path, "skew.json", {"shape": [k] * k, "cells": [
+        [None] + [i * k + j for j in range(1, k)] for i in range(k)
+    ]})
+    assert_bounded_input_error(capsys, "rectify", "--state", skew)

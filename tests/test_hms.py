@@ -16,7 +16,6 @@ from taquin.hms import (
     default_capacity_grid,
     descent_pairs,
     maximally_embedded,
-    mesh_graph,
     naive_slide_up,
     reassign_on_completion,
     reassignment_equivalent,
@@ -191,38 +190,6 @@ def test_descent_pairs_examples():
 def test_descent_pairs_vertical():
     state = HmtState.of((2, 2), [[2, 3], [1, None]])
     assert descent_pairs(state) == ((Cell(1, 1), Cell(2, 1)),)
-
-
-# --- mesh graphs -------------------------------------------------------------
-
-
-def brute_force_edges(shape):
-    cells = set(shape.cells())
-    return {
-        (a, b)
-        for a in cells
-        for b in cells
-        if (b.row == a.row and b.col == a.col + 1) or (b.row == a.row + 1 and b.col == a.col)
-    }
-
-
-def test_mesh_graph_counts():
-    square = mesh_graph(SkewShape.of((2, 2)))
-    assert len(square.vertices) == 4 and len(square.edges) == 4
-
-    single = mesh_graph(SkewShape.of((1,)))
-    assert len(single.vertices) == 1 and len(single.edges) == 0
-
-    skew = mesh_graph(SkewShape.of((4, 4, 4, 4), (2, 2)), directed=True)
-    assert len(skew.vertices) == 12
-    assert skew.edges == frozenset(brute_force_edges(SkewShape.of((4, 4, 4, 4), (2, 2))))
-    assert skew.directed
-
-
-def test_mesh_graph_edges_oriented_right_and_down():
-    graph = mesh_graph(SkewShape.of((3, 2)), directed=True)
-    for a, b in graph.edges:
-        assert (b.row - a.row, b.col - a.col) in {(0, 1), (1, 0)}
 
 
 # --- completion-driven reassignment ------------------------------------------

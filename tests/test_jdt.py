@@ -10,9 +10,7 @@ from conftest import (
 )
 from taquin.errors import DomainError
 from taquin.jdt import (
-    backward_slide,
     backward_slide_trace,
-    forward_slide,
     forward_slide_trace,
     jdt_equivalent,
     rectify,
@@ -29,17 +27,17 @@ T5 = Tableau.normal([[1, 3, 4, 6], [2, 8], [5], [7]])
 
 
 def test_forward_slide_worked_example():
-    result, vacated = forward_slide(EXAMPLE, Cell(1, 1))
+    result, vacated, _ = forward_slide_trace(EXAMPLE, Cell(1, 1))
     assert result == Tableau.normal([[2, 3, 5, 9], [4, 7, 8], [6, 10]])
     assert vacated == Cell(3, 3)
 
 
 def test_forward_slide_trivial_and_derived():
-    result, vacated = forward_slide(Tableau.skew((2,), (1,), [[None, 5]]), Cell(1, 1))
+    result, vacated, _ = forward_slide_trace(Tableau.skew((2,), (1,), [[None, 5]]), Cell(1, 1))
     assert result == Tableau.normal([[5]])
     assert vacated == Cell(1, 2)
 
-    result, vacated = forward_slide(
+    result, vacated, _ = forward_slide_trace(
         Tableau.skew((2, 2), (1,), [[None, 2], [1, 3]]), Cell(1, 1)
     )
     assert result == Tableau.normal([[1, 2], [3]])
@@ -47,7 +45,7 @@ def test_forward_slide_trivial_and_derived():
 
 
 def test_backward_slide_worked_example():
-    result, vacated = backward_slide(EXAMPLE, Cell(2, 4))
+    result, vacated, _ = backward_slide_trace(EXAMPLE, Cell(2, 4))
     assert result == Tableau.skew(
         (4, 4, 3), (2,), [[None, None, 3, 5], [2, 4, 8, 9], [6, 7, 10]]
     )
@@ -55,26 +53,26 @@ def test_backward_slide_worked_example():
 
 
 def test_backward_slide_trivial():
-    result, vacated = backward_slide(Tableau.normal([[5]]), Cell(1, 2))
+    result, vacated, _ = backward_slide_trace(Tableau.normal([[5]]), Cell(1, 2))
     assert result == Tableau.skew((2,), (1,), [[None, 5]])
     assert vacated == Cell(1, 1)
 
 
 def test_slides_invert_each_other_on_example():
-    forward, vacated = forward_slide(EXAMPLE, Cell(1, 1))
-    restored, hole = backward_slide(forward, vacated)
+    forward, vacated, _ = forward_slide_trace(EXAMPLE, Cell(1, 1))
+    restored, hole, _ = backward_slide_trace(forward, vacated)
     assert restored == EXAMPLE
     assert hole == Cell(1, 1)
 
 
 def test_slide_rejects_bad_start():
     with pytest.raises(DomainError):
-        forward_slide(EXAMPLE, Cell(2, 1))
+        forward_slide_trace(EXAMPLE, Cell(2, 1))
     with pytest.raises(DomainError):
-        backward_slide(EXAMPLE, Cell(3, 3))
+        backward_slide_trace(EXAMPLE, Cell(3, 3))
     generalized = Tableau.skew((2, 2), (1,), [[None, 1], [3, 2]])
     with pytest.raises(DomainError):
-        forward_slide(generalized, Cell(1, 1))
+        forward_slide_trace(generalized, Cell(1, 1))
 
 
 def test_slide_steps_record_every_move():
@@ -120,11 +118,11 @@ def test_slides_always_produce_partial_tableaux():
     for _ in range(50):
         t = random_skew_syt(rng, max_cells=8)
         for corner in inner_corners(t.shape.inner):
-            slid, _ = forward_slide(t, corner)
+            slid, _, _ = forward_slide_trace(t, corner)
             assert is_partial(slid)
             assert slid.entries == t.entries
         for corner in outer_corners(t.shape.outer):
-            slid, _ = backward_slide(t, corner)
+            slid, _, _ = backward_slide_trace(t, corner)
             assert is_partial(slid)
             assert slid.entries == t.entries
 
@@ -134,12 +132,12 @@ def test_slides_invert_each_other_randomized():
     for _ in range(50):
         t = random_skew_syt(rng, max_cells=8)
         for corner in inner_corners(t.shape.inner):
-            slid, vacated = forward_slide(t, corner)
-            back, hole = backward_slide(slid, vacated)
+            slid, vacated, _ = forward_slide_trace(t, corner)
+            back, hole, _ = backward_slide_trace(slid, vacated)
             assert back == t and hole == corner
         for corner in outer_corners(t.shape.outer):
-            slid, vacated = backward_slide(t, corner)
-            forth, hole = forward_slide(slid, vacated)
+            slid, vacated, _ = backward_slide_trace(t, corner)
+            forth, hole, _ = forward_slide_trace(slid, vacated)
             assert forth == t and hole == corner
 
 
@@ -149,7 +147,7 @@ def test_single_slide_preserves_knuth_class():
         t = random_skew_syt(rng, max_cells=8)
         word = Permutation(reading_word(t))
         for corner in inner_corners(t.shape.inner):
-            slid, _ = forward_slide(t, corner)
+            slid, _, _ = forward_slide_trace(t, corner)
             assert knuth_equivalent(word, Permutation(reading_word(slid)))
 
 

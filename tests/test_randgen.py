@@ -1,0 +1,43 @@
+"""Literal pins of seeded generator output: the benchmark and ``turnaround --random`` build on it."""
+
+from random import Random
+
+import pytest
+
+from taquin.randgen import random_skew_assignment, random_standard_assignment
+
+_ = None
+
+
+@pytest.mark.parametrize(
+    "seed, shape, cells",
+    [
+        (5, (3, 3, 3), ((1, 3, 5), (2, 6, 7), (4, 8, 9))),
+        (19, (4, 4), ((1, 3, 5, _), (2, 4, 6, _))),
+        (38, (4, 4, 4, 4), ((1, 4, 6, 8), (2, 5, 7, _), (3, _, _, _), (_, _, _, _))),
+    ],
+)
+def test_random_standard_assignment_is_pinned(seed, shape, cells):
+    state = random_standard_assignment(Random(seed))
+    assert state.shape.parts == shape
+    assert state.occupancy == cells
+    assert state.capacities is None
+
+
+@pytest.mark.parametrize(
+    "seed, shape, cells",
+    [
+        (11, (5, 5, 5, 5), ((_, _, _, _, _), (1, 2, _, _, _), (3, _, _, _, _), (4, _, _, _, _))),
+        (13, (3, 3, 3), ((_, 1, 2), (3, _, _), (4, _, _))),
+        (
+            17,
+            (4, 4, 4, 4, 4),
+            ((_, _, 1, _), (2, 4, _, _), (3, _, _, _), (_, _, _, _), (_, _, _, _)),
+        ),
+    ],
+)
+def test_random_skew_assignment_is_pinned(seed, shape, cells):
+    state = random_skew_assignment(Random(seed), 6, 6)
+    assert state.shape.parts == shape
+    assert state.occupancy == cells
+    assert state.capacities is None
