@@ -44,7 +44,6 @@ from .rsk import (
 from .jdt import (
     SlideStep,
     backward_slide_trace,
-    first_corner,
     forward_slide_trace,
     jdt_equivalent,
     rectify,

@@ -15,9 +15,9 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import DomainError, InvalidStateError, ShapeError
-from .jdt import Grid, SlidePolicy, SlideStep, _rectify_slides, _slide, first_corner
+from .jdt import Grid, SlideStep, _rectify_slides, _slide
 from .partitions import Cell, Partition, SkewShape
-from .tableaux import ShapeKind, Tableau, _at, _cells, is_partial
+from .tableaux import ShapeKind, Tableau, _at, _cells, _descents, is_partial
 
 
 class StateKind(Enum):
@@ -196,16 +196,7 @@ def descent_pairs(state: HmtState) -> tuple[tuple[Cell, Cell], ...]:
     Pairs are reported as (left-or-above cell, right-or-below cell) in
     row-major scan order.  Works on any occupancy, valid region or not.
     """
-    pairs: list[tuple[Cell, Cell]] = []
-    for cell, task in _cells(state.occupancy):
-        i, j = cell
-        right = state.get(i, j + 1)
-        if right is not None and right < task:
-            pairs.append((cell, Cell(i, j + 1)))
-        below = state.get(i + 1, j)
-        if below is not None and below < task:
-            pairs.append((cell, Cell(i + 1, j)))
-    return tuple(pairs)
+    return tuple(_descents(state.occupancy))
 
 
 class Relocation(NamedTuple):
@@ -321,12 +312,13 @@ def reassignment_sequence(a0: HmtState, completions: Iterable[int]) -> Reassignm
     return ReassignmentTrace(a0, tuple(events))
 
 
-def rectify_assignment(a0: HmtState, slide_policy: SlidePolicy = first_corner) -> ReassignmentTrace:
+def rectify_assignment(a0: HmtState) -> ReassignmentTrace:
     """Relocate greedily until the occupied region is left-justified and top-aligned.
 
-    Each event opens the chosen idle corner of the embedded inner shape and
-    cascades one full forward slide; after as many events as the inner shape
-    has cells, the state is standard and of normal shape.
+    Each event opens the first (smallest row, then column) idle corner of the
+    embedded inner shape and cascades one full forward slide; after as many
+    events as the inner shape has cells, the state is standard and of normal
+    shape.
     """
     shape, embedded = maximally_embedded(a0)
     if not is_partial(embedded):
@@ -336,7 +328,7 @@ def rectify_assignment(a0: HmtState, slide_policy: SlidePolicy = first_corner) -
     grid = [list(row) for row in a0.occupancy]
     events = tuple(
         TraceEvent(RectifyCorner(corner), _relocations(steps), a0.with_occupancy(grid))
-        for corner, steps in _rectify_slides(grid, shape.inner, slide_policy)
+        for corner, steps in _rectify_slides(grid, shape.inner)
     )
     return ReassignmentTrace(a0, events)
 

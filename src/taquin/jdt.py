@@ -8,7 +8,7 @@ Both, and the completion cascades of ``hms``, run on one trusting kernel.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from .errors import DomainError
 from .partitions import Cell, Partition, SkewShape, inner_corners, outer_corners
@@ -23,13 +23,7 @@ class SlideStep(NamedTuple):
     source: Cell
 
 
-SlidePolicy = Callable[[Sequence[Cell]], Cell]
 Grid = list[list[int | None]]
-
-
-def first_corner(corners: Sequence[Cell]) -> Cell:
-    """Default slide policy: the lexicographically smallest (row, col) corner."""
-    return corners[0]
 
 
 def _slide(grid: Grid, hole: Cell, step: int) -> list[SlideStep]:
@@ -95,33 +89,30 @@ def backward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[
     return Tableau(shape, grid), vacated, tuple(steps)
 
 
-def _rectify_slides(
-    grid: Grid, inner: Partition, slide_policy: SlidePolicy
-) -> Iterator[tuple[Cell, list[SlideStep]]]:
+def _rectify_slides(grid: Grid, inner: Partition) -> Iterator[tuple[Cell, list[SlideStep]]]:
     """Forward-slide ``grid`` in place until ``inner`` is empty; yield each corner and its moves.
 
-    Empty cells outside ``inner`` act as outside the shape, so vacated cells stay as ``None``.
+    Each slide opens the first (smallest row, then column) inner corner: the
+    rectified result is the same whatever order the corners are opened in, so
+    one fixed order keeps traces stable.  Empty cells outside ``inner`` act as
+    outside the shape, so vacated cells stay as ``None``.
     """
     while inner.parts:
-        corners = inner_corners(inner)
-        corner = Cell(*slide_policy(corners))
-        if corner not in corners:
-            raise DomainError(f"slide policy returned {corner}, not one of {corners}")
+        corner = inner_corners(inner)[0]
         yield corner, _slide(grid, corner, 1)
         inner = inner.remove_corner(corner)
 
 
-def rectify(p: Tableau, slide_policy: SlidePolicy = first_corner) -> Tableau:
+def rectify(p: Tableau) -> Tableau:
     """Forward-slide until the inner shape is empty.
 
-    The result does not depend on ``slide_policy``; the default picks the
-    lexicographically smallest (row, col) inner corner so traces are stable.
+    The result does not depend on the order the inner corners are opened in.
     """
     if p.shape.is_normal:
         return p
     _require_partial(p)
     grid = [list(row) for row in p.rows]
-    for _ in _rectify_slides(grid, p.shape.inner, slide_policy):
+    for _ in _rectify_slides(grid, p.shape.inner):
         pass
     rows = [[entry for entry in row if entry is not None] for row in grid]
     return Tableau.normal([row for row in rows if row])

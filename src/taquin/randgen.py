@@ -63,13 +63,11 @@ def random_standard_filling(rng: Random, shape: SkewShape) -> Tableau:
         cell = frontier[rng.randrange(len(frontier))]
         entries[cell] = value
         remaining.remove(cell)
-    if not entries:
-        rows = tuple(
-            tuple(None for _ in range(shape.outer.row_len(i)))
-            for i in range(1, shape.outer.num_rows + 1)
-        )
-        return Tableau(shape, rows)
-    return Tableau.from_cells(entries)
+    rows = tuple(
+        tuple(entries.get(Cell(i, j)) for j in range(1, length + 1))
+        for i, length in enumerate(shape.outer.parts, start=1)
+    )
+    return Tableau(shape, rows)
 
 
 def random_skew_syt(rng: Random, max_cells: int, min_cells: int = 1) -> Tableau:

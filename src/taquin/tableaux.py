@@ -57,14 +57,16 @@ class Tableau:
             raise TableauError(
                 f"expected {outer.num_rows} rows for shape {outer.parts}, got {len(rows)}"
             )
+        inner = self.shape.inner
         seen: set[int] = set()
         for i, row in enumerate(rows, start=1):
             if len(row) != outer.row_len(i):
                 raise TableauError(
                     f"row {i} has {len(row)} cells, shape wants {outer.row_len(i)}"
                 )
+            skipped = inner.row_len(i)
             for j, entry in enumerate(row, start=1):
-                if self.shape.contains_cell(Cell(i, j)):
+                if j > skipped:
                     if not isinstance(entry, int) or isinstance(entry, bool) or entry < 1:
                         raise TableauError(f"cell ({i},{j}) needs a positive entry, got {entry!r}")
                     if entry in seen:
@@ -124,19 +126,28 @@ class Tableau:
         return dict(_cells(self.rows))
 
 
-def is_partial(t: Tableau) -> bool:
-    """True when entries strictly increase along every row and column."""
-    for i, row in enumerate(t.rows, start=1):
+def _descents(rows: Sequence[Sequence[int | None]]) -> Iterator[tuple[Cell, Cell]]:
+    """Adjacent filled cells of a grid of rows whose second entry is not the larger.
+
+    Each pair is (left-or-upper cell, right-or-lower cell), in row-major order
+    with a cell's right neighbour before the one below it.
+    """
+    # Indices rather than ``_cells``: a Cell is built only for a pair that is yielded.
+    for i, row in enumerate(rows, start=1):
         for j, entry in enumerate(row, start=1):
             if entry is None:
                 continue
-            right = t.get(i, j + 1)
-            below = t.get(i + 1, j)
+            right = _at(rows, i, j + 1)
             if right is not None and right <= entry:
-                return False
+                yield Cell(i, j), Cell(i, j + 1)
+            below = _at(rows, i + 1, j)
             if below is not None and below <= entry:
-                return False
-    return True
+                yield Cell(i, j), Cell(i + 1, j)
+
+
+def is_partial(t: Tableau) -> bool:
+    """True when entries strictly increase along every row and column."""
+    return next(_descents(t.rows), None) is None
 
 
 def is_standard(t: Tableau) -> bool:

@@ -58,14 +58,11 @@ def enumerate_skew_fillings(shape: SkewShape) -> Iterator[Tableau]:
 
     def rec(value: int) -> Iterator[Tableau]:
         if not remaining:
-            if entries:
-                yield Tableau.from_cells(dict(entries))
-            else:
-                rows = tuple(
-                    tuple(None for _ in range(shape.outer.row_len(i)))
-                    for i in range(1, shape.outer.num_rows + 1)
-                )
-                yield Tableau(shape, rows)
+            rows = tuple(
+                tuple(entries.get(Cell(i, j)) for j in range(1, length + 1))
+                for i, length in enumerate(shape.outer.parts, start=1)
+            )
+            yield Tableau(shape, rows)
             return
         for cell in sorted(c for c in remaining if addable(c)):
             remaining.remove(cell)
@@ -93,6 +90,13 @@ def exhaustive_rectifications(
     frozen = frozenset(results)
     memo[t] = frozen
     return frozen
+
+
+def slide_until_normal(t: Tableau, choose) -> Tableau:
+    """Forward-slide at ``choose(inner corners)`` through the public API until the shape is normal."""
+    while not t.shape.is_normal:
+        t, _, _ = forward_slide_trace(t, choose(inner_corners(t.shape.inner)))
+    return t
 
 
 def equivalent_skew_pair(rng: Random, max_cells: int = 8) -> tuple[Tableau, Tableau]:

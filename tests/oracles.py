@@ -1,16 +1,17 @@
-"""The loop-per-function implementations that the slide and bump kernels replaced.
+"""The loop-per-function implementations that the shared kernels replaced.
 
 Each function here is the library's earlier code, kept unchanged as a
-differential oracle: every slide, completion cascade, rectification and RSK
-step is written out on its own, with validation on every call.  The tests in
-``test_kernels.py`` require the library to agree with them move for move.
+differential oracle: every descent check, slide, completion cascade,
+rectification and RSK step is written out on its own, with validation on
+every call.  The tests in ``test_kernels.py`` require the library to agree
+with them move for move.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from taquin.errors import DomainError
 from taquin.hms import (
@@ -28,10 +29,51 @@ from taquin.hms import (
     classify_state,
     maximally_embedded,
 )
-from taquin.jdt import SlidePolicy, SlideStep, first_corner
+from taquin.jdt import SlideStep
 from taquin.partitions import Cell, SkewShape, inner_corners, outer_corners
 from taquin.rsk import Permutation
-from taquin.tableaux import ShapeKind, Tableau, is_partial, is_standard
+from taquin.tableaux import ShapeKind, Tableau, _cells, is_standard
+
+# The library always opens the first inner corner; the oracles still take any order.
+SlidePolicy = Callable[[Sequence[Cell]], Cell]
+
+
+def first_corner(corners: Sequence[Cell]) -> Cell:
+    """Default slide policy: the lexicographically smallest (row, col) corner."""
+    return corners[0]
+
+
+def is_partial(t: Tableau) -> bool:
+    """True when entries strictly increase along every row and column."""
+    for i, row in enumerate(t.rows, start=1):
+        for j, entry in enumerate(row, start=1):
+            if entry is None:
+                continue
+            right = t.get(i, j + 1)
+            below = t.get(i + 1, j)
+            if right is not None and right <= entry:
+                return False
+            if below is not None and below <= entry:
+                return False
+    return True
+
+
+def descent_pairs(state: HmtState) -> tuple[tuple[Cell, Cell], ...]:
+    """Adjacent occupied pairs whose lower-priority cell holds the higher-priority task.
+
+    Pairs are reported as (left-or-above cell, right-or-below cell) in
+    row-major scan order.  Works on any occupancy, valid region or not.
+    """
+    pairs: list[tuple[Cell, Cell]] = []
+    for cell, task in _cells(state.occupancy):
+        i, j = cell
+        right = state.get(i, j + 1)
+        if right is not None and right < task:
+            pairs.append((cell, Cell(i, j + 1)))
+        below = state.get(i + 1, j)
+        if below is not None and below < task:
+            pairs.append((cell, Cell(i + 1, j)))
+    return tuple(pairs)
 
 
 def _require_normal_partial(t: Tableau, op: str) -> None:

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from conftest import check_trace_legality, state_from_tableau
+from conftest import check_trace_legality, slide_until_normal, state_from_tableau
 from taquin.errors import DomainError, InvalidStateError
 from taquin.hms import (
     CapacityGrid,
@@ -324,9 +324,10 @@ def test_rectify_assignment_policy_independent_final():
     rng = Random(29)
     for _ in range(20):
         state = random_skew_assignment(rng)
-        default = rectify_assignment(state).final
-        reversed_policy = rectify_assignment(state, slide_policy=lambda c: c[-1]).final
-        assert default.occupancy == reversed_policy.occupancy
+        _, embedded = maximally_embedded(state)
+        last = slide_until_normal(embedded, lambda corners: corners[-1])
+        final = rectify_assignment(state).final
+        assert final.occupancy == state_from_tableau(last, state.shape.parts).occupancy
 
 
 def test_rectify_assignment_event_triggers_are_corners():

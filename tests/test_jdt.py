@@ -6,6 +6,7 @@ from conftest import (
     enumerate_skew_fillings,
     equivalent_skew_pair,
     exhaustive_rectifications,
+    slide_until_normal,
     subpartitions,
 )
 from taquin.errors import DomainError
@@ -97,14 +98,9 @@ def test_rectify_policy_independence():
     rng = Random(42)
     for _ in range(40):
         t = random_skew_syt(rng, max_cells=8)
-        last = rectify(t, slide_policy=lambda corners: corners[-1])
-        rand = rectify(t, slide_policy=lambda corners: corners[rng.randrange(len(corners))])
+        last = slide_until_normal(t, lambda corners: corners[-1])
+        rand = slide_until_normal(t, lambda corners: corners[rng.randrange(len(corners))])
         assert rectify(t) == last == rand
-
-
-def test_rectify_rejects_bad_policy():
-    with pytest.raises(DomainError):
-        rectify(T3, slide_policy=lambda corners: Cell(9, 9))
 
 
 def test_jdt_equivalent_examples():

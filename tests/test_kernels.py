@@ -1,8 +1,9 @@
-"""Differential tests: the slide and bump kernels against the loop-per-function oracles.
+"""Differential tests: the shared kernels against the loop-per-function oracles.
 
-Every public function built on ``jdt._slide`` or ``tableaux._bump`` must agree
-with its earlier implementation in ``oracles.py``: same results, same slide
-steps and relocations in the same order, same trace states.
+Every public function built on ``tableaux._descents``, ``jdt._slide`` or
+``tableaux._bump`` must agree with its earlier implementation in
+``oracles.py``: same results, same descent pairs, slide steps and relocations
+in the same order, same trace states.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from taquin.randgen import (
     random_standard_filling,
 )
 from taquin.rsk import Permutation, rsk, rsk_inverse
-from taquin.tableaux import reverse_bump, row_insert
+from taquin.tableaux import Tableau, is_partial, reverse_bump, row_insert
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -57,21 +58,51 @@ def embed(filling, rows: int, cols: int) -> HmtState:
 
 
 def policies(seed: int):
-    """Fresh first-corner, last-corner and seeded random slide policies."""
+    """Fresh first-corner, last-corner and seeded random slide policies for the oracles."""
     rng = Random(seed)
     return (
-        jdt.first_corner,
+        oracles.first_corner,
         lambda corners: corners[-1],
         lambda corners: corners[rng.randrange(len(corners))],
     )
 
 
-def recording(policy, seen: list):
-    def record(corners):
-        seen.append(tuple(corners))
-        return policy(corners)
+@st.composite
+def generalized_fillings(draw, rows: int = 8, cols: int = 8) -> Tableau:
+    """A random skew shape holding 1..size in any order, so rows and columns may descend."""
+    shape = draw(skew_shapes(rows, cols))
+    entries = iter(draw(st.permutations(range(1, shape.size + 1))))
+    grid = [
+        [None if j <= shape.inner.row_len(i) else next(entries) for j in range(1, length + 1)]
+        for i, length in enumerate(shape.outer.parts, start=1)
+    ]
+    return Tableau(shape, grid)
 
-    return record
+
+@st.composite
+def any_occupancy(draw, max_side: int = 8) -> HmtState:
+    """A mesh of up to 8 x 8 with idle cells anywhere and tasks in any order."""
+    rows, cols = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    busy = draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
+    tasks = iter(draw(st.permutations(range(1, rows * cols + 1))))
+    grid = [[next(tasks) if busy[i * cols + j] else None for j in range(cols)] for i in range(rows)]
+    return HmtState(Partition((cols,) * rows), grid)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(skew_syt(), generalized_fillings()))
+def test_descent_walk_matches_oracle_on_tableaux(t):
+    assert is_partial(t) == oracles.is_partial(t)
+    state = embed(t, t.shape.outer.num_rows, t.shape.outer.parts[0])
+    # Column compaction can leave an occupied region that is not a skew shape.
+    for mesh in (state, hms.naive_slide_up(state)):
+        assert hms.descent_pairs(mesh) == oracles.descent_pairs(mesh)
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_occupancy())
+def test_descent_pairs_match_oracle_on_any_occupancy(state):
+    assert hms.descent_pairs(state) == oracles.descent_pairs(state)
 
 
 @settings(max_examples=60, deadline=None)
@@ -86,11 +117,9 @@ def test_slide_traces_match_oracle(t):
 @settings(max_examples=60, deadline=None)
 @given(skew_syt(), SEEDS)
 def test_rectify_matches_oracle_under_every_policy(t, seed):
-    for new, old in zip(policies(seed), policies(seed)):
-        new_seen, old_seen = [], []
-        result = jdt.rectify(t, recording(new, new_seen))
-        assert result == oracles.rectify(t, recording(old, old_seen))
-        assert new_seen == old_seen
+    result = jdt.rectify(t)
+    for policy in policies(seed):
+        assert oracles.rectify(t, policy) == result
 
 
 @st.composite
@@ -131,9 +160,10 @@ def test_turnaround_matches_oracle(state, seed):
 @given(skew_syt(), st.integers(0, 3), st.integers(0, 3), SEEDS)
 def test_rectify_assignment_matches_oracle(t, extra_rows, extra_cols, seed):
     state = embed(t, t.shape.outer.num_rows + extra_rows, t.shape.outer.parts[0] + extra_cols)
-    for new, old in zip(policies(seed), policies(seed)):
-        trace = hms.rectify_assignment(state, new)
-        assert trace == oracles.rectify_assignment(state, old)
+    trace = hms.rectify_assignment(state)
+    assert trace == oracles.rectify_assignment(state)
+    for policy in policies(seed):
+        assert oracles.rectify_assignment(state, policy).final == trace.final
 
 
 @settings(max_examples=30, deadline=None)

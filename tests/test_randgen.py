@@ -4,7 +4,13 @@ from random import Random
 
 import pytest
 
-from taquin.randgen import random_skew_assignment, random_standard_assignment
+from taquin.partitions import SkewShape
+from taquin.randgen import (
+    random_skew_assignment,
+    random_standard_assignment,
+    random_standard_filling,
+)
+from taquin.tableaux import is_standard
 
 _ = None
 
@@ -41,3 +47,16 @@ def test_random_skew_assignment_is_pinned(seed, shape, cells):
     assert state.shape.parts == shape
     assert state.occupancy == cells
     assert state.capacities is None
+
+
+@pytest.mark.parametrize(
+    "outer, inner",
+    [((2, 1), (1, 1)), ((3, 3, 2, 1), (2, 2, 2, 1)), ((1,), (1,))],
+)
+def test_random_standard_filling_keeps_the_requested_shape(outer, inner):
+    # Trailing rows wholly inside the inner shape hold no entry but stay part of the shape.
+    shape = SkewShape.of(outer, inner)
+    for seed in range(5):
+        filling = random_standard_filling(Random(seed), shape)
+        assert filling.shape == shape
+        assert is_standard(filling)

@@ -1,8 +1,9 @@
+from bisect import bisect_left
 from collections import Counter
 from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_permutations
@@ -56,6 +57,38 @@ def test_rsk_outputs_standard_same_shape(pi):
     assert p.shape == q.shape
     assert is_standard(p) and is_standard(q)
     assert p.size == pi.n
+
+
+# Size-independent invariants: they check the bump kernel at sizes the
+# brute-force oracles cannot reach.
+@settings(max_examples=25, deadline=None)
+@given(permutations_st(max_n=1000))
+def test_rsk_of_inverse_swaps_the_tableaux(pi):
+    inverse = [0] * pi.n
+    for position, value in enumerate(pi.word, start=1):
+        inverse[value - 1] = position
+    p, q = rsk(pi)
+    assert rsk(Permutation(tuple(inverse))) == (q, p)
+
+
+def longest_increasing_subsequence(word) -> int:
+    """Patience sorting: tails[k] is the least last entry of an increasing run of length k+1."""
+    tails: list[int] = []
+    for value in word:
+        k = bisect_left(tails, value)
+        if k == len(tails):
+            tails.append(value)
+        else:
+            tails[k] = value
+    return len(tails)
+
+
+@settings(max_examples=25, deadline=None)
+@given(permutations_st(max_n=1000))
+def test_first_row_is_longest_increasing_subsequence(pi):
+    p, _ = rsk(pi)
+    first_row = p.rows[0] if p.rows else ()
+    assert len(first_row) == longest_increasing_subsequence(pi.word)
 
 
 def test_rsk_inverse_examples():
