@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import DomainError, InvalidStateError, ShapeError
-from .jdt import Grid, SlideStep, _rectify_slides, _slide
+from .jdt import Grid, Relocation, _rectify_slides, _slide
 from .partitions import Cell, Partition, SkewShape
 from .tableaux import ShapeKind, Tableau, _at, _cells, _descents, is_partial
 
@@ -23,6 +23,10 @@ from .tableaux import ShapeKind, Tableau, _at, _cells, _descents, is_partial
 class StateKind(Enum):
     STANDARD = "standard"
     GENERALIZED = "generalized"
+
+
+def _is_task_id(task: object) -> bool:
+    return isinstance(task, int) and not isinstance(task, bool) and task >= 1
 
 
 def _require_canonical(shape: Partition) -> None:
@@ -41,9 +45,7 @@ class CapacityGrid:
         _require_canonical(self.shape)
         rates = tuple(tuple(Fraction(r) for r in row) for row in self.rates)
         object.__setattr__(self, "rates", rates)
-        if len(rates) != self.shape.num_rows or any(
-            len(row) != self.shape.row_len(i) for i, row in enumerate(rates, start=1)
-        ):
+        if tuple(map(len, rates)) != self.shape.parts:
             raise DomainError("capacity grid does not match its shape")
         for i, row in enumerate(rates):
             for j, rate in enumerate(row):
@@ -124,16 +126,14 @@ class HmtState:
         _require_canonical(self.shape)
         grid = tuple(tuple(row) for row in self.occupancy)
         object.__setattr__(self, "occupancy", grid)
-        if len(grid) != self.shape.num_rows or any(
-            len(row) != self.shape.row_len(i) for i, row in enumerate(grid, start=1)
-        ):
+        if tuple(map(len, grid)) != self.shape.parts:
             raise DomainError("occupancy grid does not match its shape")
         seen: set[int] = set()
         for i, row in enumerate(grid, start=1):
             for j, task in enumerate(row, start=1):
                 if task is None:
                     continue
-                if not isinstance(task, int) or isinstance(task, bool) or task < 1:
+                if not _is_task_id(task):
                     raise DomainError(f"cell ({i},{j}) holds invalid task ID {task!r}")
                 if task in seen:
                     raise DomainError(f"task {task} assigned to two cells")
@@ -162,13 +162,20 @@ class HmtState:
         return {task: cell for cell, task in _cells(self.occupancy)}
 
     def cell_of(self, task: int) -> Cell:
-        for cell, entry in _cells(self.occupancy):
-            if entry == task:
-                return cell
-        raise DomainError(f"task {task} is not assigned")
+        if _is_task_id(task):
+            for cell, entry in _cells(self.occupancy):
+                if entry == task:
+                    return cell
+        raise DomainError(f"task {task!r} is not assigned")
 
     def with_occupancy(self, grid: Iterable[Iterable[int | None]]) -> HmtState:
         return HmtState(self.shape, tuple(tuple(row) for row in grid), self.capacities)
+
+    def _snapshot(self, grid: Iterable[Iterable[int | None]]) -> HmtState:
+        """This mesh holding ``grid``, unchecked: ``grid`` may only move or drop its tasks."""
+        snapshot = object.__new__(HmtState)
+        vars(snapshot).update(vars(self), occupancy=tuple(map(tuple, grid)))
+        return snapshot
 
 
 def maximally_embedded(state: HmtState) -> tuple[SkewShape, Tableau]:
@@ -197,14 +204,6 @@ def descent_pairs(state: HmtState) -> tuple[tuple[Cell, Cell], ...]:
     row-major scan order.  Works on any occupancy, valid region or not.
     """
     return tuple(_descents(state.occupancy))
-
-
-class Relocation(NamedTuple):
-    """One task moved from a busy cell into the adjacent idle cell."""
-
-    task: int
-    source: Cell
-    dest: Cell
 
 
 @dataclass(frozen=True)
@@ -252,15 +251,11 @@ def _require_standard_normal(state: HmtState, op: str) -> None:
         raise DomainError(f"{op} needs a standard state of normal shape")
 
 
-def _relocations(steps: Iterable[SlideStep]) -> tuple[Relocation, ...]:
-    return tuple(Relocation(step.moved_entry, step.source, step.hole) for step in steps)
-
-
 def _complete(grid: Grid, cells: dict[int, Cell], task: int) -> tuple[Relocation, ...]:
     """Vacate ``task``'s cell and cascade, updating ``grid`` and the task-to-cell map in place."""
     hole = cells.pop(task)
     grid[hole.row - 1][hole.col - 1] = None
-    relocations = _relocations(_slide(grid, hole, 1))
+    relocations = tuple(_slide(grid, hole, 1))
     for move in relocations:
         cells[move.task] = move.dest
     return relocations
@@ -277,7 +272,7 @@ def reassign_on_completion(state: HmtState, task: int) -> tuple[HmtState, tuple[
     _require_standard_normal(state, "reassign_on_completion")
     grid = [list(row) for row in state.occupancy]
     relocations = _complete(grid, {task: state.cell_of(task)}, task)
-    return state.with_occupancy(grid), relocations
+    return state._snapshot(grid), relocations
 
 
 def reassignment_sequence(a0: HmtState, completions: Iterable[int]) -> ReassignmentTrace:
@@ -289,13 +284,13 @@ def reassignment_sequence(a0: HmtState, completions: Iterable[int]) -> Reassignm
     assignment in place and is recorded as a flagged no-op event.
     """
     _require_standard_normal(a0, "reassignment_sequence")
-    completions = [int(task) for task in completions]
+    completions = list(completions)
     cells = a0.task_cells()
     if len(set(completions)) != len(completions):
         raise DomainError("completion sequence repeats a task")
-    missing = [task for task in completions if task not in cells]
+    missing = [task for task in completions if not _is_task_id(task) or task not in cells]
     if missing:
-        raise DomainError(f"completion of unassigned task {missing[0]}")
+        raise DomainError(f"completion of unassigned task {missing[0]!r}")
 
     m = len(cells)
     grid = [list(row) for row in a0.occupancy]
@@ -304,7 +299,7 @@ def reassignment_sequence(a0: HmtState, completions: Iterable[int]) -> Reassignm
     for index, task in enumerate(completions):
         if index < m - 1:
             relocations = _complete(grid, cells, task)
-            state = a0.with_occupancy(grid)
+            state = a0._snapshot(grid)
             events.append(TraceEvent(Completion(task), relocations, state))
         else:
             # The last task's completion empties the workload but moves nothing.
@@ -327,8 +322,8 @@ def rectify_assignment(a0: HmtState) -> ReassignmentTrace:
     # Idle cells outside the embedded shape read as off-grid: slide on the mesh itself.
     grid = [list(row) for row in a0.occupancy]
     events = tuple(
-        TraceEvent(RectifyCorner(corner), _relocations(steps), a0.with_occupancy(grid))
-        for corner, steps in _rectify_slides(grid, shape.inner)
+        TraceEvent(RectifyCorner(corner), tuple(moves), a0._snapshot(grid))
+        for corner, moves in _rectify_slides(grid, shape.inner)
     )
     return ReassignmentTrace(a0, events)
 
@@ -341,13 +336,9 @@ def naive_slide_up(a0: HmtState) -> HmtState:
     no longer be a tableau region.
     """
     rows = a0.shape.num_rows
-    cols = a0.shape.row_len(1)
-    grid: list[list[int | None]] = [[None] * cols for _ in range(rows)]
-    for j in range(cols):
-        column = [a0.occupancy[i][j] for i in range(rows) if a0.occupancy[i][j] is not None]
-        for i, task in enumerate(column):
-            grid[i][j] = task
-    return a0.with_occupancy(grid)
+    columns = [[task for task in column if task is not None] for column in zip(*a0.occupancy)]
+    padded = [column + [None] * (rows - len(column)) for column in columns]
+    return a0._snapshot(zip(*padded))
 
 
 def reassignment_equivalent(s1: HmtState, s2: HmtState) -> bool:

@@ -12,7 +12,7 @@ from typing import Iterator, NamedTuple
 
 from .errors import DomainError
 from .partitions import Cell, Partition, SkewShape, inner_corners, outer_corners
-from .tableaux import Tableau, _at, is_partial
+from .tableaux import Tableau, is_partial
 
 
 class SlideStep(NamedTuple):
@@ -23,31 +23,40 @@ class SlideStep(NamedTuple):
     source: Cell
 
 
+class Relocation(NamedTuple):
+    """One task moved from a busy cell into the adjacent idle cell."""
+
+    task: int
+    source: Cell
+    dest: Cell
+
+
 Grid = list[list[int | None]]
 
 
-def _slide(grid: Grid, hole: Cell, step: int) -> list[SlideStep]:
+def _slide(grid: Grid, hole: Cell, step: int) -> list[Relocation]:
     """Fill ``hole`` in place until no neighbour can move in; return the moves.
 
     Empty and off-grid cells both read as ``None``.  With ``step=+1`` the
     smaller of the right/below entries moves in (a forward slide or completion
     cascade); with ``step=-1`` the larger of the left/above entries does.
     """
-    i, j = hole
-    steps: list[SlideStep] = []
+    i, j = hole.row - 1, hole.col - 1
+    moves: list[Relocation] = []
     while True:
-        across, down = _at(grid, i, j + step), _at(grid, i + step, j)
+        row, i_down, j_across = grid[i], i + step, j + step
+        across = row[j_across] if 0 <= j_across < len(row) else None
+        down = grid[i_down][j] if 0 <= i_down < len(grid) and j < len(grid[i_down]) else None
         if across is None and down is None:
-            return steps
+            return moves
         # Entries are positive, so scaling by ``step = -1`` reverses their order.
         if down is None or (across is not None and across * step < down * step):
-            source, moved = Cell(i, j + step), across
+            moved, j = across, j_across
         else:
-            source, moved = Cell(i + step, j), down
-        grid[i - 1][j - 1] = moved
-        grid[source.row - 1][source.col - 1] = None
-        steps.append(SlideStep(Cell(i, j), moved, source))
-        i, j = source
+            moved, i = down, i_down
+        row[hole.col - 1], grid[i][j] = moved, None  # ``row`` is still the hole's row
+        hole, dest = Cell(i + 1, j + 1), hole
+        moves.append(Relocation(moved, hole, dest))
 
 
 def _require_partial(p: Tableau) -> None:
@@ -63,13 +72,13 @@ def forward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[S
         raise DomainError(f"{start} is not an inner corner of {p.shape.inner.parts}")
 
     grid = [list(row) for row in p.rows]
-    steps = _slide(grid, start, 1)
-    vacated = steps[-1].source if steps else start
+    moves = _slide(grid, start, 1)
+    vacated = moves[-1].source if moves else start
     grid[vacated.row - 1].pop()  # an inner corner of the outer shape ends its row
     if not grid[-1]:
         grid.pop()
     shape = SkewShape(p.shape.outer.remove_corner(vacated), p.shape.inner.remove_corner(start))
-    return Tableau(shape, grid), vacated, tuple(steps)
+    return Tableau(shape, grid), vacated, tuple(SlideStep(m.dest, m.task, m.source) for m in moves)
 
 
 def backward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[SlideStep, ...]]:
@@ -83,13 +92,13 @@ def backward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[
     if start.row > len(grid):
         grid.append([])
     grid[start.row - 1].append(None)
-    steps = _slide(grid, start, -1)
-    vacated = steps[-1].source if steps else start
+    moves = _slide(grid, start, -1)
+    vacated = moves[-1].source if moves else start
     shape = SkewShape(p.shape.outer.add_corner(start), p.shape.inner.add_corner(vacated))
-    return Tableau(shape, grid), vacated, tuple(steps)
+    return Tableau(shape, grid), vacated, tuple(SlideStep(m.dest, m.task, m.source) for m in moves)
 
 
-def _rectify_slides(grid: Grid, inner: Partition) -> Iterator[tuple[Cell, list[SlideStep]]]:
+def _rectify_slides(grid: Grid, inner: Partition) -> Iterator[tuple[Cell, list[Relocation]]]:
     """Forward-slide ``grid`` in place until ``inner`` is empty; yield each corner and its moves.
 
     Each slide opens the first (smallest row, then column) inner corner: the

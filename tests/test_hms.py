@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import check_trace_legality, slide_until_normal, state_from_tableau
 from taquin.errors import DomainError, InvalidStateError
@@ -29,6 +31,7 @@ from taquin.randgen import (
     random_requirements,
     random_skew_assignment,
     random_standard_assignment,
+    random_standard_filling,
 )
 from taquin.tableaux import ShapeKind, Tableau
 
@@ -268,6 +271,17 @@ def test_reassignment_sequence_rejects_bad_completions():
         reassignment_sequence(FIG3_A0, (1, 99))
 
 
+@pytest.mark.parametrize("task", [2.7, True, "3"])
+def test_reassignment_sequence_rejects_non_int_task_ids(task):
+    with pytest.raises(DomainError):
+        reassignment_sequence(FIG3_A0, [task])
+
+
+def test_reassign_on_completion_rejects_bool_task_id():
+    with pytest.raises(DomainError):
+        reassign_on_completion(FIG3_A0, True)
+
+
 def test_priority_order_completion_keeps_smallest_on_top():
     rng = Random(23)
     for _ in range(30):
@@ -276,6 +290,26 @@ def test_priority_order_completion_keeps_smallest_on_top():
         for task in range(1, m):
             state, _ = reassign_on_completion(state, task)
             assert state.get(1, 1) == task + 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_promotion_has_order_rows_times_cols(rows, cols, seed):
+    """Schützenberger promotion on a full r x c mesh: rc rounds give back the start.
+
+    One round completes task 1, admits task rc+1 at the freed cell and
+    relabels every task t as t-1.  The cascade must always free (r, c).
+    """
+    m = rows * cols
+    shape = Partition((cols,) * rows)
+    start = HmtState(shape, random_standard_filling(Random(seed), SkewShape(shape)).rows)
+    state = start
+    for _ in range(m):
+        state, _ = reassign_on_completion(state, 1)
+        assert state.occupancy[-1][-1] is None
+        relabelled = [[m if t is None else t - 1 for t in row] for row in state.occupancy]
+        state = HmtState(shape, relabelled)
+    assert state == start
 
 
 # --- rectification -----------------------------------------------------------

@@ -145,6 +145,32 @@ def test_completions_match_oracle(state, seed, data):
     assert hms.reassignment_sequence(state, order) == oracles.reassignment_sequence(state, order)
 
 
+def with_capacities(state: HmtState, rng: Random) -> HmtState:
+    return HmtState(state.shape, state.occupancy, random_hierarchical_capacities(rng, state.shape))
+
+
+@settings(max_examples=40, deadline=None)
+@given(normal_meshes(), skew_syt(), st.booleans(), SEEDS)
+def test_trusted_snapshots_pass_validation(state, t, capacities, seed):
+    """Every state a trace or a completion builds without checks would pass them."""
+    rng = Random(seed)
+    skew = embed(t, t.shape.outer.num_rows + 1, t.shape.outer.parts[0] + 1)
+    if capacities:
+        state, skew = with_capacities(state, rng), with_capacities(skew, rng)
+    order = list(range(1, state.task_count + 1))
+    rng.shuffle(order)
+    snapshots = [
+        (state, [hms.reassign_on_completion(state, order[0])[0]]),
+        (state, hms.reassignment_sequence(state, order).states),
+        (skew, hms.rectify_assignment(skew).states),
+        (skew, [hms.naive_slide_up(skew)]),
+    ]
+    for a0, states in snapshots:
+        for s in states:
+            assert HmtState(s.shape, s.occupancy, s.capacities) == s
+            assert s.capacities is a0.capacities
+
+
 @settings(max_examples=40, deadline=None)
 @given(normal_meshes(), SEEDS)
 def test_turnaround_matches_oracle(state, seed):
