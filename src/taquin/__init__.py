@@ -26,7 +26,6 @@ from .tableaux import (
     ShapeKind,
     Tableau,
     classify,
-    enumerate_syt,
     is_partial,
     is_standard,
     reading_word,
@@ -36,8 +35,6 @@ from .tableaux import (
 from .rsk import (
     Permutation,
     knuth_equivalent,
-    knuth_neighbors,
-    knuth_reachable_oracle,
     rsk,
     rsk_inverse,
 )

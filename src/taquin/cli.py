@@ -81,10 +81,20 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
         raise TaquinError(f"{what} must be comma-separated integers, got {text!r}") from exc
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """One JSON object; a repeated key is an error, not a silent last-one-wins."""
+    seen: set[str] = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ValueError(f"key {key!r} repeats within one object")
+        seen.add(key)
+    return dict(pairs)
+
+
 def _load_json(path: str) -> Any:
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise TaquinError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # also over-long integers, over-deep nesting

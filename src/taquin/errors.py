@@ -22,4 +22,4 @@ class InvalidStateError(TaquinError, ValueError):
 
 
 class ResourceLimitError(TaquinError, RuntimeError):
-    """An enumeration exceeded its configured size bound."""
+    """An input exceeds a configured size bound."""

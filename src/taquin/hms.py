@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import DomainError, InvalidStateError, ShapeError
 from .jdt import Grid, Relocation, _rectify_slides, _slide
@@ -84,14 +84,6 @@ class TaskSet:
             if requirement <= 0:
                 raise DomainError(f"requirement of task {task} must be positive")
 
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[int, Fraction | int | str]) -> TaskSet:
-        ids = sorted(int(task) for task in mapping)
-        if ids != list(range(1, len(ids) + 1)):
-            raise DomainError(f"task IDs must be exactly 1..m, got {ids}")
-        by_id = {int(task): Fraction(r) for task, r in mapping.items()}
-        return cls(tuple(by_id[task] for task in ids))
-
     @property
     def m(self) -> int:
         return len(self.requirements)
@@ -100,11 +92,6 @@ class TaskSet:
         if not 1 <= task <= self.m:
             raise DomainError(f"no requirement for task {task}")
         return self.requirements[task - 1]
-
-    @property
-    def strictly_prioritized(self) -> bool:
-        """True when higher priority (smaller ID) means strictly larger requirement."""
-        return all(a > b for a, b in zip(self.requirements, self.requirements[1:]))
 
 
 @dataclass(frozen=True)
@@ -167,9 +154,6 @@ class HmtState:
                 if entry == task:
                     return cell
         raise DomainError(f"task {task!r} is not assigned")
-
-    def with_occupancy(self, grid: Iterable[Iterable[int | None]]) -> HmtState:
-        return HmtState(self.shape, tuple(tuple(row) for row in grid), self.capacities)
 
     def _snapshot(self, grid: Iterable[Iterable[int | None]]) -> HmtState:
         """This mesh holding ``grid``, unchecked: ``grid`` may only move or drop its tasks."""

@@ -81,14 +81,6 @@ def encode_skew_shape(shape: SkewShape) -> dict:
     return {"outer": encode_partition(shape.outer), "inner": encode_partition(shape.inner)}
 
 
-def decode_skew_shape(obj: Any) -> SkewShape:
-    data = _expect_object(obj, "skew shape")
-    return SkewShape(
-        decode_partition(data.get("outer", [])),
-        decode_partition(data.get("inner", [])),
-    )
-
-
 def encode_cell(cell: Cell) -> list[int]:
     return [cell.row, cell.col]
 
@@ -188,15 +180,22 @@ def encode_task_set(tasks: TaskSet) -> dict[str, str]:
 
 
 def decode_task_set(obj: Any) -> TaskSet:
+    """Requirements keyed by task ID; the keys are exactly "1".."m", in any order."""
     data = _expect_object(obj, "task requirements")
-    mapping: dict[int, Fraction] = {}
+    by_id: dict[int, Fraction] = {}
     for key, value in data.items():
         try:
             task = int(key)
         except ValueError as exc:
             raise DomainError(f"task IDs must be integers, got {key!r}") from exc
-        mapping[task] = decode_fraction(value)
-    return TaskSet.from_mapping(mapping)
+        # int() also reads "01", "+1", " 1 " and "1_0": two keys could name one task.
+        if str(task) != key:
+            raise DomainError(f"task ID {key!r} must be written {str(task)!r}")
+        by_id[task] = decode_fraction(value)
+    ids = sorted(by_id)
+    if ids != list(range(1, len(ids) + 1)):
+        raise DomainError(f"task IDs must be exactly 1..m, got {ids}")
+    return TaskSet(tuple(by_id[task] for task in ids))
 
 
 def encode_relocation(move: Relocation) -> dict:

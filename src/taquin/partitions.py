@@ -123,9 +123,6 @@ class SkewShape:
     def size(self) -> int:
         return self.outer.n - self.inner.n
 
-    def contains_cell(self, cell: Cell) -> bool:
-        return self.outer.contains_cell(cell) and not self.inner.contains_cell(cell)
-
     def cells(self) -> Iterator[Cell]:
         """All cells in row-major order."""
         for i, length in enumerate(self.outer.parts, start=1):

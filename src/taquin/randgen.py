@@ -70,16 +70,6 @@ def random_standard_filling(rng: Random, shape: SkewShape) -> Tableau:
     return Tableau(shape, rows)
 
 
-def random_skew_syt(rng: Random, max_cells: int, min_cells: int = 1) -> Tableau:
-    """A random standard tableau of random skew shape with a bounded cell count."""
-    while True:
-        outer = random_partition_in_box(rng, max_rows=4, max_cols=4, min_cells=min_cells)
-        inner = random_subpartition(rng, outer)
-        shape = SkewShape(outer, inner)
-        if min_cells <= shape.size <= max_cells:
-            return random_standard_filling(rng, shape)
-
-
 def _place(filling: Tableau, rows: int, cols: int) -> HmtState:
     """The state of a ``rows`` x ``cols`` mesh holding ``filling`` in its top-left cells."""
     grid = [list(row) + [None] * (cols - len(row)) for row in filling.rows]
@@ -144,13 +134,6 @@ def random_hierarchical_capacities(rng: Random, shape: Partition) -> CapacityGri
     return CapacityGrid(shape, tuple(tuple(row) for row in rates))
 
 
-def random_requirements(rng: Random, m: int, decreasing: bool = False) -> TaskSet:
-    """Random positive rational requirements; optionally strictly decreasing by task."""
-    if decreasing:
-        values: list[Fraction] = []
-        current = Fraction(rng.randint(50, 100), rng.randint(1, 4))
-        for _ in range(m):
-            values.append(current)
-            current = current * Fraction(rng.randint(1, 9), 10)
-        return TaskSet(tuple(values))
+def random_requirements(rng: Random, m: int) -> TaskSet:
+    """Random positive rational requirements for tasks 1..m."""
     return TaskSet(tuple(Fraction(rng.randint(1, 100), rng.randint(1, 20)) for _ in range(m)))

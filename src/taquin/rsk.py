@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 from .tableaux import Tableau, _bump, _unbump, is_standard
 
 
@@ -20,10 +19,6 @@ class Permutation:
         object.__setattr__(self, "word", word)
         if sorted(word) != list(range(1, len(word) + 1)):
             raise DomainError(f"{word} is not a rearrangement of 1..{len(word)}")
-
-    @classmethod
-    def identity(cls, n: int) -> Permutation:
-        return cls(tuple(range(1, n + 1)))
 
     @property
     def n(self) -> int:
@@ -63,52 +58,8 @@ def rsk_inverse(p: Tableau, q: Tableau) -> Permutation:
     return Permutation(tuple(word))
 
 
-def knuth_neighbors(pi: Permutation) -> frozenset[Permutation]:
-    """All permutations one elementary Knuth transformation away.
-
-    Each transformation rewrites a window of three consecutive letters whose
-    values, with x < y < z, match one of the patterns yxz<->yzx (swap the last
-    two) or xzy<->zxy (swap the first two).
-    """
-    word = pi.word
-    neighbors: set[Permutation] = set()
-    for k in range(len(word) - 2):
-        a, b, c = word[k : k + 3]
-        if b < a < c or c < a < b:
-            swapped = word[:k] + (a, c, b) + word[k + 3 :]
-            neighbors.add(Permutation(swapped))
-        if a < c < b or b < c < a:
-            swapped = word[:k] + (b, a, c) + word[k + 3 :]
-            neighbors.add(Permutation(swapped))
-    return frozenset(neighbors)
-
-
 def knuth_equivalent(pi: Permutation, tau: Permutation) -> bool:
     """Decide Knuth equivalence via equality of insertion tableaux."""
     if pi.n != tau.n:
         raise DomainError(f"length mismatch: {pi.n} vs {tau.n}")
     return rsk(pi)[0] == rsk(tau)[0]
-
-
-def knuth_reachable_oracle(pi: Permutation, tau: Permutation, max_length: int = 8) -> bool:
-    """Breadth-first closure of elementary transformations; test-grade oracle.
-
-    Exponentially slower than ``knuth_equivalent`` but independent of it, so it
-    serves as the cross-check.  Guarded by ``max_length``.
-    """
-    if pi.n != tau.n:
-        raise DomainError(f"length mismatch: {pi.n} vs {tau.n}")
-    if pi.n > max_length:
-        raise ResourceLimitError(f"closure search bounded to length {max_length}")
-
-    seen = {pi}
-    frontier = deque([pi])
-    while frontier:
-        current = frontier.popleft()
-        if current == tau:
-            return True
-        for neighbor in knuth_neighbors(current):
-            if neighbor not in seen:
-                seen.add(neighbor)
-                frontier.append(neighbor)
-    return False

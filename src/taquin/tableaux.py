@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import DomainError, ResourceLimitError, TableauError
+from .errors import DomainError, TableauError
 from .partitions import Cell, Partition, SkewShape, inner_corners, skew_shape_of_cells
 
 
@@ -115,12 +115,6 @@ class Tableau:
     def get(self, i: int, j: int) -> int | None:
         """Entry at 1-based (i, j); None outside the grid or on an empty cell."""
         return _at(self.rows, i, j)
-
-    def cell_of(self, value: int) -> Cell:
-        for cell, entry in _cells(self.rows):
-            if entry == value:
-                return cell
-        raise DomainError(f"entry {value} not present")
 
     def to_cell_map(self) -> dict[Cell, int]:
         return dict(_cells(self.rows))
@@ -230,41 +224,3 @@ def reading_word(t: Tableau) -> tuple[int, ...]:
     for row in reversed(t.rows):
         word.extend(e for e in row if e is not None)
     return tuple(word)
-
-
-def enumerate_syt(shape: Partition, max_cells: int = 12) -> list[Tableau]:
-    """All standard fillings of ``shape``, by brute-force backtracking.
-
-    Cells are filled in row-major order trying candidates in ascending order,
-    so the output order is deterministic.  Guarded by ``max_cells`` because the
-    count grows factorially.
-    """
-    n = shape.n
-    if n > max_cells:
-        raise ResourceLimitError(f"shape has {n} cells, enumeration bound is {max_cells}")
-
-    cells = [(c.row - 1, c.col - 1) for c in shape.cells()]
-    grid = [[0] * length for length in shape.parts]
-    used = [False] * (n + 1)
-    results: list[Tableau] = []
-
-    def fill(k: int) -> None:
-        if k == n:
-            results.append(Tableau.normal([row[:] for row in grid]))
-            return
-        i, j = cells[k]
-        floor = max(
-            grid[i][j - 1] if j else 0,
-            grid[i - 1][j] if i else 0,
-        )
-        for value in range(floor + 1, n + 1):
-            if used[value]:
-                continue
-            used[value] = True
-            grid[i][j] = value
-            fill(k + 1)
-            grid[i][j] = 0
-            used[value] = False
-
-    fill(0)
-    return results

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from taquin.hms import HmtState, ReassignmentTrace
 from taquin.jdt import backward_slide_trace, forward_slide_trace
 from taquin.partitions import Cell, Partition, SkewShape, inner_corners, outer_corners
-from taquin.randgen import random_skew_syt, random_standard_filling
+from taquin.randgen import random_partition_in_box, random_standard_filling, random_subpartition
 from taquin.rsk import Permutation
 from taquin.tableaux import Tableau
 
@@ -43,8 +43,8 @@ def subpartitions(outer: Partition) -> Iterator[Partition]:
 def enumerate_skew_fillings(shape: SkewShape) -> Iterator[Tableau]:
     """All standard fillings of a skew shape, by linear-extension backtracking.
 
-    Independent of the library's enumerate_syt: values 1..size are placed on
-    any cell whose left/above neighbours inside the shape are already filled.
+    Values 1..size are placed, in turn, on any cell whose left/above neighbours
+    inside the shape are already filled, trying those cells in row-major order.
     """
     cells = list(shape.cells())
     remaining = set(cells)
@@ -116,6 +116,16 @@ def equivalent_skew_pair(rng: Random, max_cells: int = 8) -> tuple[Tableau, Tabl
             current, _, _ = backward_slide_trace(current, corners[rng.randrange(len(corners))])
         pair.append(current)
     return pair[0], pair[1]
+
+
+def random_skew_syt(rng: Random, max_cells: int, min_cells: int = 1) -> Tableau:
+    """A random standard tableau of random skew shape with a bounded cell count."""
+    while True:
+        outer = random_partition_in_box(rng, max_rows=4, max_cols=4, min_cells=min_cells)
+        inner = random_subpartition(rng, outer)
+        shape = SkewShape(outer, inner)
+        if min_cells <= shape.size <= max_cells:
+            return random_standard_filling(rng, shape)
 
 
 def independent_skew_pair(rng: Random, max_cells: int = 8) -> tuple[Tableau, Tableau]:

@@ -1,19 +1,21 @@
-"""The loop-per-function implementations that the shared kernels replaced.
+"""Reference implementations that the tests check the library against.
 
-Each function here is the library's earlier code, kept unchanged as a
-differential oracle: every descent check, slide, completion cascade,
-rectification and RSK step is written out on its own, with validation on
-every call.  The tests in ``test_kernels.py`` require the library to agree
-with them move for move.
+Most functions here are the loop-per-function code that the shared kernels
+replaced, kept as a differential oracle: every descent check, slide,
+completion cascade, rectification and RSK step is written out on its own,
+with validation on every call.  The tests in ``test_kernels.py`` require the
+library to agree with them move for move.  The last two decide Knuth
+equivalence by brute force, independently of insertion tableaux.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import deque
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from taquin.errors import DomainError
+from taquin.errors import DomainError, ResourceLimitError
 from taquin.hms import (
     CapacityGrid,
     Completion,
@@ -306,7 +308,7 @@ def reassign_on_completion(state: HmtState, task: int) -> tuple[HmtState, tuple[
         relocations.append(Relocation(mover, source, hole))
         hole = source
 
-    return state.with_occupancy(grid), tuple(relocations)
+    return HmtState(state.shape, grid, state.capacities), tuple(relocations)
 
 
 def reassignment_sequence(a0: HmtState, completions: Iterable[int]) -> ReassignmentTrace:
@@ -365,7 +367,7 @@ def rectify_assignment(a0: HmtState, slide_policy: SlidePolicy = first_corner) -
             grid[step.hole.row - 1][step.hole.col - 1] = step.moved_entry
             grid[step.source.row - 1][step.source.col - 1] = None
             relocations.append(Relocation(step.moved_entry, step.source, step.hole))
-        state = state.with_occupancy(grid)
+        state = HmtState(state.shape, grid, state.capacities)
         events.append(TraceEvent(RectifyCorner(corner), tuple(relocations), state))
     return ReassignmentTrace(a0, tuple(events))
 
@@ -401,3 +403,47 @@ def turnaround_sequential(
             state, _ = reassign_on_completion(state, task)
     total = sum((run.duration for run in runs), Fraction(0))
     return TurnaroundReport(total, tuple(runs))
+
+
+def knuth_neighbors(pi: Permutation) -> frozenset[Permutation]:
+    """All permutations one elementary Knuth transformation away.
+
+    Each transformation rewrites a window of three consecutive letters whose
+    values, with x < y < z, match one of the patterns yxz<->yzx (swap the last
+    two) or xzy<->zxy (swap the first two).
+    """
+    word = pi.word
+    neighbors: set[Permutation] = set()
+    for k in range(len(word) - 2):
+        a, b, c = word[k : k + 3]
+        if b < a < c or c < a < b:
+            swapped = word[:k] + (a, c, b) + word[k + 3 :]
+            neighbors.add(Permutation(swapped))
+        if a < c < b or b < c < a:
+            swapped = word[:k] + (b, a, c) + word[k + 3 :]
+            neighbors.add(Permutation(swapped))
+    return frozenset(neighbors)
+
+
+def knuth_reachable_oracle(pi: Permutation, tau: Permutation, max_length: int = 8) -> bool:
+    """Breadth-first closure of elementary transformations.
+
+    Exponentially slower than ``knuth_equivalent`` but independent of it, so it
+    serves as the cross-check.  Guarded by ``max_length``.
+    """
+    if pi.n != tau.n:
+        raise DomainError(f"length mismatch: {pi.n} vs {tau.n}")
+    if pi.n > max_length:
+        raise ResourceLimitError(f"closure search bounded to length {max_length}")
+
+    seen = {pi}
+    frontier = deque([pi])
+    while frontier:
+        current = frontier.popleft()
+        if current == tau:
+            return True
+        for neighbor in knuth_neighbors(current):
+            if neighbor not in seen:
+                seen.add(neighbor)
+                frontier.append(neighbor)
+    return False

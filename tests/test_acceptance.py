@@ -37,7 +37,8 @@ from taquin.randgen import (
     random_skew_assignment,
     random_standard_assignment,
 )
-from taquin.rsk import Permutation, knuth_equivalent, knuth_reachable_oracle, rsk, rsk_inverse
+from oracles import knuth_reachable_oracle
+from taquin.rsk import Permutation, knuth_equivalent, rsk, rsk_inverse
 from taquin.tableaux import ShapeKind, reading_word
 from taquin.jdt import jdt_equivalent
 

@@ -299,6 +299,23 @@ def test_rational_with_exponent_is_input_error(capsys, tmp_path):
     assert_bounded_input_error(capsys, *argv)
 
 
+def test_repeated_or_non_canonical_task_keys_are_input_errors(capsys, tmp_path):
+    state = write(tmp_path, "s.json", {"shape": [2, 2], "cells": [[1, 2], [None, None]]})
+    for name, text in [
+        ("repeated.json", '{"1": "5", "1": "7", "2": "3"}'),
+        ("padded.json", '{"1": "5", "01": "7", "2": "3"}'),
+    ]:
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert_bounded_input_error(capsys, "turnaround", "--state", state, "--requirements", str(path))
+
+
+def test_repeated_key_in_a_state_file_is_input_error(capsys, tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text('{"shape": [4], "cells": [[1, 2], [3, 4]], "shape": [2, 2]}', encoding="utf-8")
+    assert_bounded_input_error(capsys, "check", "--state", str(path))
+
+
 def test_argparse_usage_errors_are_one_line(capsys):
     assert_bounded_input_error(capsys, "count")
     assert_bounded_input_error(capsys, "verify-identity", "--n", "9" * 5000)

@@ -25,6 +25,7 @@ from taquin.hms import (
     rectify_assignment,
     turnaround_sequential,
 )
+from taquin.jsonio import decode_task_set
 from taquin.partitions import Cell, Partition, SkewShape
 from taquin.randgen import (
     random_hierarchical_capacities,
@@ -109,14 +110,12 @@ def test_task_set_validation():
     tasks = TaskSet((Fraction(4), Fraction(3), Fraction(2)))
     assert tasks.m == 3
     assert tasks.requirement(2) == 3
-    assert tasks.strictly_prioritized
-    assert not TaskSet((Fraction(1), Fraction(1))).strictly_prioritized
     with pytest.raises(DomainError):
         TaskSet((Fraction(0),))
     with pytest.raises(DomainError):
         tasks.requirement(4)
     with pytest.raises(DomainError):
-        TaskSet.from_mapping({1: 1, 3: 2})
+        decode_task_set({"1": 1, "3": 2})
 
 
 # --- states and embedding ----------------------------------------------------
@@ -312,6 +311,53 @@ def test_promotion_has_order_rows_times_cols(rows, cols, seed):
     assert state == start
 
 
+def evacuate(a0: HmtState) -> HmtState:
+    """Schützenberger evacuation of a full mesh, read off its completion sequence.
+
+    Tasks 1..m complete in turn, and event k writes m+1-k into the cell it
+    vacates: the source of its last relocation, or the completed task's own
+    cell when nothing moved.
+    """
+    m = a0.task_count
+    grid: list[list[int | None]] = [[None] * len(row) for row in a0.occupancy]
+    before = a0
+    for k, event in enumerate(reassignment_sequence(a0, range(1, m + 1)).events, start=1):
+        vacated = event.relocations[-1].source if event.relocations else before.cell_of(k)
+        grid[vacated.row - 1][vacated.col - 1] = m + 1 - k
+        before = event.state
+    return HmtState(a0.shape, grid)
+
+
+def check_evacuation(a0: HmtState) -> None:
+    """On a rectangle, evacuation is the 180-degree rotation with each i read as m+1-i.
+
+    Hence it is an involution (Stanley, "Promotion and evacuation",
+    Electron. J. Combin. 16(2), 2009).
+    """
+    m = a0.task_count
+    evacuated = evacuate(a0)
+    rotated = tuple(tuple(m + 1 - t for t in reversed(row)) for row in reversed(a0.occupancy))
+    assert evacuated.occupancy == rotated
+    assert evacuate(evacuated) == a0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_evacuation_is_rotation_and_involution(rows, cols, seed):
+    shape = Partition((cols,) * rows)
+    check_evacuation(HmtState(shape, random_standard_filling(Random(seed), SkewShape(shape)).rows))
+
+
+def test_evacuation_is_rotation_and_involution_at_60_by_60():
+    # Filled along antidiagonals: random_standard_filling takes seconds at 3600 cells.
+    k = 60
+    order = sorted(((i, j) for i in range(k) for j in range(k)), key=lambda c: (c[0] + c[1], c[1]))
+    grid = [[0] * k for _ in range(k)]
+    for task, (i, j) in enumerate(order, start=1):
+        grid[i][j] = task
+    check_evacuation(HmtState.of((k,) * k, grid))
+
+
 # --- rectification -----------------------------------------------------------
 
 
@@ -389,7 +435,7 @@ def all_rectification_outcomes(state):
         for step in steps:
             moved[step.hole.row - 1][step.hole.col - 1] = step.moved_entry
             moved[step.source.row - 1][step.source.col - 1] = None
-        outcomes |= all_rectification_outcomes(state.with_occupancy(moved))
+        outcomes |= all_rectification_outcomes(HmtState(state.shape, moved, state.capacities))
     return outcomes
 
 
@@ -568,7 +614,12 @@ def test_descent_swap_strictly_improves_cost():
                 for i in range(1, rows + 1)
             ),
         )
-        tasks = random_requirements(rng, m, decreasing=True)
+        requirements = []
+        current = Fraction(rng.randint(50, 100), rng.randint(1, 4))
+        for _ in range(m):
+            requirements.append(current)
+            current *= Fraction(rng.randint(1, 9), 10)
+        tasks = TaskSet(tuple(requirements))
 
         def cost(assignment):
             return sum(

@@ -6,6 +6,7 @@ from conftest import (
     enumerate_skew_fillings,
     equivalent_skew_pair,
     exhaustive_rectifications,
+    random_skew_syt,
     slide_until_normal,
     subpartitions,
 )
@@ -17,7 +18,6 @@ from taquin.jdt import (
     rectify,
 )
 from taquin.partitions import Cell, SkewShape, inner_corners, outer_corners, partitions_of
-from taquin.randgen import random_skew_syt
 from taquin.rsk import Permutation, knuth_equivalent, rsk
 from taquin.tableaux import Tableau, is_partial, reading_word
 

@@ -6,18 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_permutations
+from conftest import all_permutations, enumerate_skew_fillings
+from oracles import knuth_neighbors, knuth_reachable_oracle
 from taquin.errors import DomainError, ResourceLimitError
-from taquin.partitions import count_syt, partitions_of
-from taquin.rsk import (
-    Permutation,
-    knuth_equivalent,
-    knuth_neighbors,
-    knuth_reachable_oracle,
-    rsk,
-    rsk_inverse,
-)
-from taquin.tableaux import Tableau, enumerate_syt, is_standard, reading_word
+from taquin.partitions import SkewShape, count_syt, partitions_of
+from taquin.rsk import Permutation, knuth_equivalent, rsk, rsk_inverse
+from taquin.tableaux import Tableau, is_standard, reading_word
 
 
 @st.composite
@@ -33,7 +27,6 @@ def test_permutation_validation():
         Permutation((1, 1, 2))
     with pytest.raises(DomainError):
         Permutation((2, 3))
-    assert Permutation.identity(4).word == (1, 2, 3, 4)
 
 
 def test_rsk_worked_example():
@@ -47,7 +40,7 @@ def test_rsk_worked_example():
 
 def test_rsk_identity_gives_single_row():
     for n in (1, 4, 6):
-        p, q = rsk(Permutation.identity(n))
+        p, q = rsk(Permutation(tuple(range(1, n + 1))))
         assert p == q == Tableau.normal([list(range(1, n + 1))])
 
 
@@ -136,7 +129,7 @@ def test_insertion_tableau_of_reading_word_is_identity():
     # Rebuilding a standard tableau from its own reading word restores it.
     for n in range(1, 9):
         for shape in partitions_of(n):
-            for t in enumerate_syt(shape):
+            for t in enumerate_skew_fillings(SkewShape(shape)):
                 p, _ = rsk(Permutation(reading_word(t)))
                 assert p == t
 
@@ -169,7 +162,8 @@ def test_knuth_reachable_oracle_examples():
     assert knuth_reachable_oracle(Permutation((1, 2, 3)), Permutation((1, 2, 3)))
     assert not knuth_reachable_oracle(Permutation((1, 2, 3)), Permutation((2, 1, 3)))
     with pytest.raises(ResourceLimitError):
-        knuth_reachable_oracle(Permutation.identity(9), Permutation.identity(9))
+        nine = Permutation(tuple(range(1, 10)))
+        knuth_reachable_oracle(nine, nine)
     with pytest.raises(DomainError):
         knuth_reachable_oracle(Permutation((1,)), Permutation((1, 2)))
 

@@ -2,17 +2,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import normal_partial_tableaux_st
-from taquin.errors import DomainError, ResourceLimitError, TableauError
-from taquin.partitions import Cell, Partition, count_syt, partitions_of
+from conftest import enumerate_skew_fillings, normal_partial_tableaux_st
+from taquin.errors import DomainError, TableauError
+from taquin.partitions import Cell, SkewShape, count_syt, partitions_of
 from taquin.tableaux import (
     FillKind,
     ShapeKind,
     Tableau,
     classify,
-    enumerate_syt,
     is_partial,
-    is_standard,
     reading_word,
     reverse_bump,
     row_insert,
@@ -142,46 +140,19 @@ def test_reading_word_examples():
 
 def test_reading_word_of_standard_is_permutation():
     for shape in partitions_of(5):
-        for t in enumerate_syt(shape):
+        for t in enumerate_skew_fillings(SkewShape(shape)):
             assert sorted(reading_word(t)) == list(range(1, 6))
-
-
-def test_enumerate_syt_exact_small_shapes():
-    two_one = enumerate_syt(Partition((2, 1)))
-    assert two_one == [
-        Tableau.normal([[1, 2], [3]]),
-        Tableau.normal([[1, 3], [2]]),
-    ]
-    assert enumerate_syt(Partition((3,))) == [Tableau.normal([[1, 2, 3]])]
-    assert len(enumerate_syt(Partition((3, 2, 1)))) == 16
-
-
-def test_enumerate_syt_is_deterministic_and_standard():
-    shape = Partition((3, 2))
-    first = enumerate_syt(shape)
-    assert first == enumerate_syt(shape)
-    assert all(is_standard(t) for t in first)
-    assert len(set(first)) == len(first)
-
-
-def test_enumerate_syt_bound():
-    with pytest.raises(ResourceLimitError):
-        enumerate_syt(Partition((7, 6)))
-    assert len(enumerate_syt(Partition((7, 6)), max_cells=13)) == count_syt(Partition((7, 6)))
 
 
 def test_enumeration_count_matches_hook_formula():
     for n in range(1, 11):
         for shape in partitions_of(n):
-            assert len(enumerate_syt(shape)) == count_syt(shape)
+            assert sum(1 for _ in enumerate_skew_fillings(SkewShape(shape))) == count_syt(shape)
 
 
 def test_tableau_accessors():
     assert T3.get(1, 3) == 1
     assert T3.get(1, 1) is None
     assert T3.get(9, 9) is None
-    assert T3.cell_of(8) == Cell(4, 2)
-    with pytest.raises(DomainError):
-        T3.cell_of(99)
     assert T3.entries == frozenset(range(1, 9))
     assert T3.size == 8
