@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 from random import Random
 from typing import Any, NoReturn
 
@@ -19,6 +18,7 @@ from . import figures
 from .errors import ResourceLimitError, TaquinError
 from .hms import (
     HmtState,
+    ReassignmentTrace,
     classify_state,
     default_capacity_grid,
     descent_pairs,
@@ -39,7 +39,7 @@ from .jsonio import (
     encode_permutation,
     encode_skew_shape,
     encode_tableau,
-    encode_trace,
+    write_trace,
 )
 from .partitions import Partition, count_syt, hook_lengths, verify_sum_squares
 from .randgen import (
@@ -54,7 +54,10 @@ SEED_ENV_VAR = "TAQUIN_SEED"
 MAX_COUNT_CELLS = 2000  # f <= sqrt(n!) then prints within the 4300-digit int-to-str limit
 MAX_IDENTITY_N = 40  # the check walks all p(n) shapes: ~2 s at n=40, ~12 s at n=50
 MAX_RANDOM_TRIALS = 10000  # about 0.55 ms a trial, so about 6 s
-MAX_TRACE_CELLS = 1024  # one state per event: a 32x32 trace is ~22 MB of JSON, growing as cells^2
+# Snapshots share the rows a cascade does not touch, so a trace's memory follows
+# its relocations; its text still holds one full state per event: ~22 MB of
+# JSON at 32x32, growing as cells^2.
+MAX_TRACE_CELLS = 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,11 +113,26 @@ def _load_traced_state(path: str) -> HmtState:
     return state
 
 
-def _emit(obj: Any, trace_path: str | None = None) -> None:
-    text = canonical_dumps(obj)
-    if trace_path is not None:
-        Path(trace_path).write_text(text, encoding="utf-8")
-    sys.stdout.write(text)
+def _emit(obj: Any) -> None:
+    sys.stdout.write(canonical_dumps(obj))
+
+
+def _emit_trace(trace: ReassignmentTrace, trace_path: str | None) -> None:
+    """Stream the trace to stdout and, if named, to a file opened before stdout sees a byte."""
+    if trace_path is None:
+        write_trace(trace, sys.stdout.write)
+        return
+    try:
+        handle = open(trace_path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise TaquinError(f"cannot write {trace_path}: {exc}") from exc
+
+    def write(text: str) -> None:
+        handle.write(text)
+        sys.stdout.write(text)
+
+    with handle:
+        write_trace(trace, write)
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -175,16 +193,14 @@ def _cmd_rsk(args: argparse.Namespace) -> int:
 
 def _cmd_rectify(args: argparse.Namespace) -> int:
     state = _load_traced_state(args.state)
-    trace = rectify_assignment(state)
-    _emit(encode_trace(trace), args.trace)
+    _emit_trace(rectify_assignment(state), args.trace)
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     state = _load_traced_state(args.state)
     completions = _parse_int_list(args.completions, "--completions")
-    trace = reassignment_sequence(state, completions)
-    _emit(encode_trace(trace), args.trace)
+    _emit_trace(reassignment_sequence(state, completions), args.trace)
     return 0
 
 

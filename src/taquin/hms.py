@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, InvalidStateError, ShapeError
 from .jdt import Grid, Relocation, _rectify_slides, _slide
@@ -155,11 +155,21 @@ class HmtState:
                     return cell
         raise DomainError(f"task {task!r} is not assigned")
 
-    def _snapshot(self, grid: Iterable[Iterable[int | None]]) -> HmtState:
-        """This mesh holding ``grid``, unchecked: ``grid`` may only move or drop its tasks."""
+    def _snapshot(self, occupancy: tuple[tuple[int | None, ...], ...]) -> HmtState:
+        """This mesh holding ``occupancy``, unchecked: it may only move or drop tasks."""
         snapshot = object.__new__(HmtState)
-        vars(snapshot).update(vars(self), occupancy=tuple(map(tuple, grid)))
+        vars(snapshot).update(vars(self), occupancy=occupancy)
         return snapshot
+
+    def _after_slide(self, grid: Grid, hole: Cell, moves: Sequence[Relocation]) -> HmtState:
+        """Snapshot of ``grid``: this state's occupancy, changed by one forward slide from ``hole``.
+
+        The slide rewrote only the rows from the hole's down to its last move's
+        source, so every other row is this state's own tuple, shared.
+        """
+        first, last = hole.row - 1, moves[-1].source.row if moves else hole.row
+        rows = self.occupancy
+        return self._snapshot(rows[:first] + tuple(map(tuple, grid[first:last])) + rows[last:])
 
 
 def maximally_embedded(state: HmtState) -> tuple[SkewShape, Tableau]:
@@ -254,9 +264,10 @@ def reassign_on_completion(state: HmtState, task: int) -> tuple[HmtState, tuple[
     and of normal shape again.
     """
     _require_standard_normal(state, "reassign_on_completion")
+    hole = state.cell_of(task)
     grid = [list(row) for row in state.occupancy]
-    relocations = _complete(grid, {task: state.cell_of(task)}, task)
-    return state._snapshot(grid), relocations
+    relocations = _complete(grid, {task: hole}, task)
+    return state._after_slide(grid, hole, relocations), relocations
 
 
 def reassignment_sequence(a0: HmtState, completions: Iterable[int]) -> ReassignmentTrace:
@@ -282,8 +293,9 @@ def reassignment_sequence(a0: HmtState, completions: Iterable[int]) -> Reassignm
     state = a0
     for index, task in enumerate(completions):
         if index < m - 1:
+            hole = cells[task]
             relocations = _complete(grid, cells, task)
-            state = a0._snapshot(grid)
+            state = state._after_slide(grid, hole, relocations)
             events.append(TraceEvent(Completion(task), relocations, state))
         else:
             # The last task's completion empties the workload but moves nothing.
@@ -305,11 +317,12 @@ def rectify_assignment(a0: HmtState) -> ReassignmentTrace:
 
     # Idle cells outside the embedded shape read as off-grid: slide on the mesh itself.
     grid = [list(row) for row in a0.occupancy]
-    events = tuple(
-        TraceEvent(RectifyCorner(corner), tuple(moves), a0._snapshot(grid))
-        for corner, moves in _rectify_slides(grid, shape.inner)
-    )
-    return ReassignmentTrace(a0, events)
+    events: list[TraceEvent] = []
+    state = a0
+    for corner, moves in _rectify_slides(grid, shape.inner):
+        state = state._after_slide(grid, corner, moves)
+        events.append(TraceEvent(RectifyCorner(corner), tuple(moves), state))
+    return ReassignmentTrace(a0, tuple(events))
 
 
 def naive_slide_up(a0: HmtState) -> HmtState:
@@ -322,7 +335,7 @@ def naive_slide_up(a0: HmtState) -> HmtState:
     rows = a0.shape.num_rows
     columns = [[task for task in column if task is not None] for column in zip(*a0.occupancy)]
     padded = [column + [None] * (rows - len(column)) for column in columns]
-    return a0._snapshot(zip(*padded))
+    return a0._snapshot(tuple(zip(*padded)))
 
 
 def reassignment_equivalent(s1: HmtState, s2: HmtState) -> bool:

@@ -2,7 +2,8 @@
 
 Encoders return plain JSON-compatible objects; ``canonical_dumps`` renders
 them with sorted keys and fixed spacing so output is byte-stable.  Rationals
-travel as "p/q" strings.
+travel as "p/q" strings.  Traces, the one large output, also have a direct
+writer, ``write_trace``, whose bytes are ``canonical_dumps(encode_trace(...))``.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .errors import DomainError
 from .hms import (
@@ -252,15 +253,114 @@ def decode_trace(obj: Any) -> ReassignmentTrace:
             )
             for move in _expect_list(entry.get("relocations", []), "relocations")
         )
-        events.append(
-            TraceEvent(
-                trigger,
-                relocations,
-                decode_hmt_state(entry.get("state")),
-                bool(entry.get("noop", False)),
-            )
-        )
+        noop = entry.get("noop", False)
+        if not isinstance(noop, bool):
+            raise DomainError(f"noop must be true or false, got {noop!r}")
+        events.append(TraceEvent(trigger, relocations, decode_hmt_state(entry.get("state")), noop))
     return ReassignmentTrace(initial, tuple(events))
+
+
+# --- the trace writer ------------------------------------------------------
+#
+# ``json.dumps(..., indent=2)`` always runs the pure-Python encoder.  The
+# writer below renders a trace's text straight from its objects, as that
+# encoder would render ``encode_trace``'s dict tree: every array and object
+# element on its own line, two spaces deeper than its bracket, keys sorted.
+# Each helper takes the indent of the line its value starts on.
+
+
+def _array(items: Sequence[str], indent: int) -> str:
+    """The JSON array of ``items``, each already JSON text rendered at ``indent + 2``."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (indent + 2)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
+
+
+def _object(fields: Sequence[tuple[str, str]], indent: int) -> str:
+    """The JSON object of ``fields``, (key, JSON text) pairs already in sorted key order."""
+    pad = "\n" + " " * (indent + 2)
+    body = ",".join(f'{pad}"{key}": {text}' for key, text in fields)
+    return "{" + body + "\n" + " " * indent + "}"
+
+
+# Events sit at indent 4 in the top-level "events" array; relocations at 8.
+_RELOCATION = _object(
+    (("from", _array(("%d", "%d"), 10)), ("task", "%d"), ("to", _array(("%d", "%d"), 10))), 8
+)
+
+
+def _state_writer(indent: int) -> Callable[[HmtState], str]:
+    """Render states at ``indent`` as ``encode_hmt_state`` would be; one writer per trace depth.
+
+    A row that ``is`` the row at the same index of the state rendered just
+    before reuses that row's text, and a state whose shape and capacities are
+    the previous state's objects reuses their text.  The writer holds the
+    previous state, so no object it compares against can have been freed.
+    """
+    row_pad = indent + 4
+    previous: HmtState | None = None
+    row_texts: list[str] = []
+    head = tail = ""
+
+    def render(state: HmtState) -> str:
+        nonlocal previous, row_texts, head, tail
+        if previous is None or previous.shape is not state.shape or (
+            previous.capacities is not state.capacities
+        ):
+            fields = [("cells", "\0")]  # JSON text never holds a raw NUL: it marks the cells
+            if state.capacities is not None:
+                rates = [
+                    _array([json.dumps(encode_fraction(rate)) for rate in row], row_pad)
+                    for row in state.capacities.rates
+                ]
+                fields.insert(0, ("capacities", _array(rates, indent + 2)))
+            fields.append(("shape", _array([str(part) for part in state.shape.parts], indent + 2)))
+            head, _, tail = _object(fields, indent).partition("\0")
+        old_rows = previous.occupancy if previous is not None else ()
+        old_texts = row_texts
+        row_texts = [
+            old_texts[k]
+            if k < len(old_rows) and row is old_rows[k]
+            else _array(["null" if task is None else str(task) for task in row], row_pad)
+            for k, row in enumerate(state.occupancy)
+        ]
+        previous = state
+        return head + _array(row_texts, indent + 2) + tail
+
+    return render
+
+
+def _trigger_text(trigger: Completion | RectifyCorner) -> str:
+    if isinstance(trigger, Completion):
+        return _object((("completed", str(trigger.task)),), 6)
+    corner = _array((str(trigger.corner.row), str(trigger.corner.col)), 8)
+    return _object((("rectify_corner", corner),), 6)
+
+
+def write_trace(trace: ReassignmentTrace, write: Callable[[str], object]) -> None:
+    """Write ``canonical_dumps(encode_trace(trace))`` through ``write``, one call per event.
+
+    The text is rendered directly from the trace, with no dict tree.  Rows
+    that successive snapshots share (see ``hms.HmtState._after_slide``) are
+    rendered once; beyond the trace, memory holds one event's text and one
+    state's row texts.
+    """
+    render_state = _state_writer(6)
+    separator = '{\n  "events": [\n    '
+    for event in trace.events:
+        moves = [_RELOCATION % (*move.source, move.task, *move.dest) for move in event.relocations]
+        fields = [
+            ("relocations", _array(moves, 6)),
+            ("state", render_state(event.state)),
+            ("trigger", _trigger_text(event.trigger)),
+        ]
+        if event.noop:
+            fields.insert(0, ("noop", "true"))
+        write(separator + _object(fields, 4))
+        separator = ",\n    "
+    events_end = '{\n  "events": []' if not trace.events else "\n  ]"
+    write(events_end + ',\n  "initial": ' + _state_writer(2)(trace.initial) + "\n}\n")
 
 
 def encode_slide_steps(steps: Sequence[SlideStep]) -> list[dict]:

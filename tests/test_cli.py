@@ -105,6 +105,32 @@ def test_simulate_command(capsys):
     assert data["events"][7]["state"]["cells"][0] == [9, None, None]
 
 
+def test_trace_file_holds_stdout_with_capacities(capsys, tmp_path):
+    caps = [["1/1", "1/2", "1/3"], ["1/2", "1/3", "1/4"], ["1/3", "1/4", "1/5"]]
+    cells = [[1, 2, 4], [3, 5, 7], [6, 8, 9]]
+    state = write(tmp_path, "s.json", {"shape": [3, 3, 3], "cells": cells, "capacities": caps})
+    trace_file = tmp_path / "trace.json"
+    code, out, err = run(
+        capsys, "simulate", "--state", state, "--completions", "2,1,9", "--trace", str(trace_file)
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["initial"]["capacities"] == caps
+    assert trace_file.read_text(encoding="utf-8") == out
+
+
+def test_unwritable_trace_path_is_input_error(capsys, tmp_path):
+    """The trace file is opened before stdout sees a byte; failing to open it is an input error."""
+    state = str(STATES / "fig3_initial.json")
+    for path in (tmp_path / "no" / "such" / "dir" / "x.json", tmp_path):
+        for argv in (
+            ("rectify", "--state", state),
+            ("simulate", "--state", state, "--completions", "1,2"),
+        ):
+            code, out, err = run(capsys, *argv, "--trace", str(path))
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: cannot write {path}") and err.count("\n") == 1
+
+
 def test_simulate_rejects_absent_task(capsys):
     code, _, err = run(
         capsys,

@@ -11,9 +11,11 @@ from taquin.hms import (
     CapacityGrid,
     Completion,
     HmtState,
+    ReassignmentTrace,
     RectifyCorner,
     StateKind,
     TaskSet,
+    TraceEvent,
     classify_state,
     default_capacity_grid,
     descent_pairs,
@@ -33,6 +35,7 @@ from taquin.randgen import (
     random_skew_assignment,
     random_standard_assignment,
     random_standard_filling,
+    random_subpartition,
 )
 from taquin.tableaux import ShapeKind, Tableau
 
@@ -291,6 +294,15 @@ def test_priority_order_completion_keeps_smallest_on_top():
             assert state.get(1, 1) == task + 1
 
 
+def promote(state: HmtState) -> HmtState:
+    """One promotion round on a full mesh: complete task 1, admit m at the freed cell, relabel."""
+    m = state.task_count
+    state, _ = reassign_on_completion(state, 1)
+    assert state.occupancy[-1][-1] is None
+    relabelled = [[m if t is None else t - 1 for t in row] for row in state.occupancy]
+    return HmtState(state.shape, relabelled)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**32 - 1))
 def test_promotion_has_order_rows_times_cols(rows, cols, seed):
@@ -299,15 +311,11 @@ def test_promotion_has_order_rows_times_cols(rows, cols, seed):
     One round completes task 1, admits task rc+1 at the freed cell and
     relabels every task t as t-1.  The cascade must always free (r, c).
     """
-    m = rows * cols
     shape = Partition((cols,) * rows)
     start = HmtState(shape, random_standard_filling(Random(seed), SkewShape(shape)).rows)
     state = start
-    for _ in range(m):
-        state, _ = reassign_on_completion(state, 1)
-        assert state.occupancy[-1][-1] is None
-        relabelled = [[m if t is None else t - 1 for t in row] for row in state.occupancy]
-        state = HmtState(shape, relabelled)
+    for _ in range(rows * cols):
+        state = promote(state)
     assert state == start
 
 
@@ -348,6 +356,21 @@ def test_evacuation_is_rotation_and_involution(rows, cols, seed):
     check_evacuation(HmtState(shape, random_standard_filling(Random(seed), SkewShape(shape)).rows))
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_promotion_conjugated_by_evacuation_is_its_inverse(rows, cols, seed):
+    """On a rectangle, promotion and evacuation satisfy ∂ε = ε∂⁻¹ (Stanley 2009).
+
+    ∂ has order rc (see above), so ∂⁻¹ is ∂ applied rc - 1 times.
+    """
+    shape = Partition((cols,) * rows)
+    start = HmtState(shape, random_standard_filling(Random(seed), SkewShape(shape)).rows)
+    inverse = start
+    for _ in range(rows * cols - 1):
+        inverse = promote(inverse)
+    assert promote(evacuate(start)) == evacuate(inverse)
+
+
 def test_evacuation_is_rotation_and_involution_at_60_by_60():
     # Filled along antidiagonals: random_standard_filling takes seconds at 3600 cells.
     k = 60
@@ -356,6 +379,44 @@ def test_evacuation_is_rotation_and_involution_at_60_by_60():
     for task, (i, j) in enumerate(order, start=1):
         grid[i][j] = task
     check_evacuation(HmtState.of((k,) * k, grid))
+
+
+def assert_untouched_rows_shared(trace, holes) -> None:
+    """Each event's state shares, as the same object, every row its cascade did not touch.
+
+    A cascade touches the row of the cell it opens (``holes``, one per event)
+    and the rows of each relocation's source and destination.
+    """
+    before = trace.initial
+    for event, hole in zip(trace.events, holes, strict=True):
+        touched = {hole.row} | {c.row for m in event.relocations for c in (m.source, m.dest)}
+        for row, (old, new) in enumerate(zip(before.occupancy, event.state.occupancy), start=1):
+            assert row in touched or new is old, (event, row)
+        before = event.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1), st.booleans())
+def test_snapshots_share_the_rows_a_cascade_does_not_touch(rows, cols, seed, with_caps):
+    rng = Random(seed)
+    mesh = Partition((cols,) * rows)
+    caps = random_hierarchical_capacities(rng, mesh) if with_caps else None
+    a0 = HmtState(mesh, random_standard_filling(rng, SkewShape(mesh)).rows, caps)
+    order = rng.sample(range(1, a0.task_count + 1), a0.task_count)
+    trace = reassignment_sequence(a0, order)
+    holes = [state.cell_of(event.trigger.task) for event, state in zip(trace.events, trace.states)]
+    assert_untouched_rows_shared(trace, holes)
+    assert trace.events[-1].noop and trace.events[-1].state is trace.states[-1]
+
+    after, moves = reassign_on_completion(a0, order[0])
+    assert_untouched_rows_shared(
+        ReassignmentTrace(a0, (TraceEvent(Completion(order[0]), moves, after),)),
+        [a0.cell_of(order[0])],
+    )
+
+    skew = SkewShape(mesh, random_subpartition(rng, mesh))
+    trace = rectify_assignment(HmtState(mesh, random_standard_filling(rng, skew).rows, caps))
+    assert_untouched_rows_shared(trace, [event.trigger.corner for event in trace.events])
 
 
 # --- rectification -----------------------------------------------------------

@@ -1,10 +1,20 @@
 import json
 from fractions import Fraction
+from pathlib import Path
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from taquin import figures
 from taquin.errors import DomainError
-from taquin.hms import HmtState, default_capacity_grid, reassignment_sequence
+from taquin.hms import (
+    HmtState,
+    default_capacity_grid,
+    reassignment_sequence,
+    rectify_assignment,
+)
 from taquin.jdt import forward_slide_trace
 from taquin.jsonio import (
     canonical_dumps,
@@ -25,8 +35,15 @@ from taquin.jsonio import (
     encode_tableau,
     encode_task_set,
     encode_trace,
+    write_trace,
 )
 from taquin.partitions import Cell, Partition, SkewShape
+from taquin.randgen import (
+    random_hierarchical_capacities,
+    random_partition_in_box,
+    random_standard_filling,
+    random_subpartition,
+)
 from taquin.rsk import Permutation
 from taquin.tableaux import Tableau
 
@@ -130,6 +147,81 @@ def test_trace_roundtrip():
     assert "noop" not in encoded["events"][0]
 
 
+@pytest.mark.parametrize("noop", ["false", "true", 0, 1, None, [], {}])
+def test_decode_trace_requires_a_boolean_noop(noop):
+    encoded = encode_trace(reassignment_sequence(HmtState.of((1,), [[1]]), [1]))
+    encoded["events"][0]["noop"] = noop
+    with pytest.raises(DomainError, match="noop"):
+        decode_trace(encoded)
+    for flag in (True, False):
+        encoded["events"][0]["noop"] = flag
+        assert decode_trace(encoded).events[0].noop is flag
+
+
+def written(trace) -> tuple[str, int]:
+    """The writer's text for ``trace`` and how many times it called ``write``."""
+    chunks: list[str] = []
+    write_trace(trace, chunks.append)
+    return "".join(chunks), len(chunks)
+
+
+@st.composite
+def traces(draw):
+    """Completion traces (full, prefix or empty orders) and rectifications, capacities or not."""
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    mesh = Partition((cols,) * rows)
+    kind = draw(st.sampled_from(["full", "prefix", "empty", "rectify"]))
+    outer = mesh if draw(st.booleans()) else random_partition_in_box(rng, rows, cols)
+    inner = random_subpartition(rng, outer) if kind == "rectify" else Partition()
+    filling = random_standard_filling(rng, SkewShape(outer, inner))
+    grid = [[None] * cols for _ in range(rows)]
+    for cell, task in filling.to_cell_map().items():
+        grid[cell.row - 1][cell.col - 1] = task
+    capacities = random_hierarchical_capacities(rng, mesh) if draw(st.booleans()) else None
+    a0 = HmtState(mesh, grid, capacities)
+    if kind == "rectify":
+        return rectify_assignment(a0)
+    order = list(range(1, a0.task_count + 1))
+    rng.shuffle(order)
+    length = {"full": len(order), "prefix": rng.randrange(len(order)), "empty": 0}[kind]
+    return reassignment_sequence(a0, order[:length])
+
+
+@settings(max_examples=150, deadline=None)
+@given(traces())
+def test_write_trace_matches_canonical_dumps(trace):
+    text, writes = written(trace)
+    assert text == canonical_dumps(encode_trace(trace))
+    assert writes == len(trace.events) + 1
+
+
+def fixture_traces():
+    for name in figures.FIGURES:
+        golden = json.loads(figures.golden_text(name))
+        if "trace" in golden:
+            yield name, decode_trace(golden["trace"])
+    for path in sorted((Path(figures.__file__).parent / "fixtures" / "states").glob("*.json")):
+        state = decode_hmt_state(json.loads(path.read_text(encoding="utf-8")))
+        for label, build in (
+            ("completions", lambda: reassignment_sequence(state, range(1, state.task_count + 1))),
+            ("rectify", lambda: rectify_assignment(state)),
+        ):
+            try:
+                yield f"{path.name}-{label}", build()
+            except DomainError:  # a generalized or skew state has no such trace
+                pass
+
+
+def test_write_trace_matches_canonical_dumps_on_goldens_and_fixtures():
+    names = []
+    for name, trace in fixture_traces():
+        names.append(name)
+        assert written(trace)[0] == canonical_dumps(encode_trace(trace)), name
+    assert {"fig3-reassignment-sequence", "fig6-greedy-rectification"} <= set(names)
+    assert "fig6c.json-rectify" in names and "fig3_initial.json-completions" in names
+
+
 def test_slide_steps_schema():
     t = Tableau.skew((2, 2), (1,), [[None, 2], [1, 3]])
     _, _, steps = forward_slide_trace(t, Cell(1, 1))
@@ -140,8 +232,6 @@ def test_slide_steps_schema():
 
 
 def test_randomized_roundtrips():
-    from random import Random
-
     from conftest import random_skew_syt
     from taquin.randgen import random_skew_assignment
 
