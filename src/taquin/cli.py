@@ -385,6 +385,12 @@ def main(argv: list[str] | None = None) -> int:
     except TaquinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader left early: point stdout at devnull so the flush at exit cannot fail again.
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print("error: stdout was closed before all output was written", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, InvalidStateError, ShapeError
 from .jdt import Grid, Relocation, _rectify_slides, _slide
-from .partitions import Cell, Partition, SkewShape
+from .partitions import Cell, Partition, SkewShape, _skew_shape_of_rows
 from .tableaux import ShapeKind, Tableau, _at, _cells, _descents, is_partial
 
 
@@ -173,14 +173,14 @@ class HmtState:
 
 
 def maximally_embedded(state: HmtState) -> tuple[SkewShape, Tableau]:
-    """The skew shape of the occupied cells and the tableau they form."""
+    """The skew shape of the occupied cells and the tableau they form (prefixes of the rows)."""
+    rows = state.occupancy
+    filled = [[j for j, task in enumerate(row, start=1) if task is not None] for row in rows]
     try:
-        embedded = Tableau.from_cells(dict(_cells(state.occupancy)))
+        shape = _skew_shape_of_rows(filled)
     except ShapeError as exc:
         raise InvalidStateError(f"occupied cells do not form a tableau region: {exc}") from exc
-    if not state.shape.contains(embedded.shape.outer):
-        raise InvalidStateError("embedded shape exceeds the processor grid")
-    return embedded.shape, embedded
+    return shape, Tableau(shape, tuple(row[:n] for row, n in zip(rows, shape.outer.parts)))
 
 
 def classify_state(state: HmtState) -> tuple[StateKind, ShapeKind]:

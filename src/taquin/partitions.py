@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import factorial, prod
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, ShapeError
 
@@ -207,45 +207,42 @@ def skew_shape_of_cells(cells: Iterable[Cell]) -> SkewShape:
     """The skew shape whose cell set equals ``cells``, if one exists.
 
     Rows with no cells are given the least admissible width, which makes the
-    returned (outer, inner) pair canonical.  Raises ShapeError when the cells
-    do not form a skew diagram (gaps in a row, or rows that cannot be stacked).
+    returned (outer, inner) pair canonical.  Raises ShapeError when a
+    coordinate is not an integer, or the cells do not form a skew diagram
+    (gaps in a row, or rows that cannot be stacked).
     """
-    cellset = {Cell(int(c[0]), int(c[1])) for c in cells}
-    if not cellset:
-        return SkewShape(Partition())
-    if any(c.row < 1 or c.col < 1 for c in cellset):
+    cellset = set()
+    for c in cells:
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (c[0], c[1])):
+            raise ShapeError(f"cell coordinates must be integers, got {tuple(c)!r}")
+        cellset.add((c[0], c[1]))
+    if any(row < 1 or col < 1 for row, col in cellset):
         raise ShapeError("cells must have positive coordinates")
+    cols_by_row: list[list[int]] = [[] for _ in range(max((r for r, _ in cellset), default=0))]
+    for row, col in cellset:
+        cols_by_row[row - 1].append(col)
+    return _skew_shape_of_rows([sorted(cols) for cols in cols_by_row])
 
-    cols_by_row: dict[int, list[int]] = {}
-    for c in cellset:
-        cols_by_row.setdefault(c.row, []).append(c.col)
-    num_rows = max(cols_by_row)
-    bounds: list[tuple[int, int] | None] = [None] * (num_rows + 1)
-    for i, cols in sorted(cols_by_row.items()):
-        cols.sort()
-        if cols[-1] - cols[0] + 1 != len(cols):
+
+def _skew_shape_of_rows(cols_by_row: Sequence[list[int]]) -> SkewShape:
+    """The skew shape whose 1-based row i holds exactly the sorted columns ``cols_by_row[i - 1]``.
+
+    Trailing empty rows are dropped; see ``skew_shape_of_cells`` for the rest.
+    """
+    for i, cols in enumerate(cols_by_row, start=1):
+        if cols and cols[-1] - cols[0] + 1 != len(cols):
             raise ShapeError(f"row {i} has a gap: columns {cols}")
-        bounds[i] = (cols[0], cols[-1])
-
-    outer = [0] * (num_rows + 1)
-    inner = [0] * (num_rows + 1)
-    width_below = 0
-    for i in range(num_rows, 0, -1):
-        if bounds[i] is None:
+    outer: list[int] = []  # both bottom to top
+    inner: list[int] = []
+    for cols in reversed(cols_by_row):
+        if cols:
+            outer.append(cols[-1])
+            inner.append(cols[0] - 1)
+        elif outer:
             # Empty row between occupied ones: both bounds collapse to the
             # least width that still nests above the row below.
-            outer[i] = inner[i] = width_below
-        else:
-            first, last = bounds[i]
-            outer[i] = last
-            inner[i] = first - 1
-        width_below = outer[i]
-
-    outer_parts = outer[1:]
-    inner_parts = inner[1:]
-    for i in range(1, num_rows):
-        if outer_parts[i - 1] < outer_parts[i] or inner_parts[i - 1] < inner_parts[i]:
-            raise ShapeError("cells do not stack into a skew diagram")
-    while inner_parts and inner_parts[-1] == 0:
-        inner_parts.pop()
-    return SkewShape(Partition(outer_parts), Partition(inner_parts))
+            outer.append(outer[-1])
+            inner.append(outer[-1])
+    if any(a > b for seq in (outer, inner) for a, b in zip(seq, seq[1:])):
+        raise ShapeError("cells do not stack into a skew diagram")
+    return SkewShape(Partition(tuple(outer[::-1])), Partition(tuple(p for p in inner[::-1] if p)))

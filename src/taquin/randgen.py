@@ -10,7 +10,7 @@ from fractions import Fraction
 from random import Random
 
 from .hms import CapacityGrid, HmtState, TaskSet
-from .partitions import Cell, Partition, SkewShape
+from .partitions import Partition, SkewShape
 from .tableaux import Tableau
 
 
@@ -29,8 +29,8 @@ def random_partition_in_box(
             return shape
 
 
-def random_subpartition(rng: Random, outer: Partition, proper: bool = True) -> Partition:
-    """A partition contained in ``outer``; proper means strictly smaller."""
+def random_subpartition(rng: Random, outer: Partition) -> Partition:
+    """A partition contained in ``outer`` and strictly smaller than it."""
     while True:
         parts: list[int] = []
         ceiling = outer.parts[0] if outer.parts else 0
@@ -40,33 +40,29 @@ def random_subpartition(rng: Random, outer: Partition, proper: bool = True) -> P
         while parts and parts[-1] == 0:
             parts.pop()
         inner = Partition(tuple(parts))
-        if not proper or inner.n < outer.n:
+        if inner.n < outer.n:
             return inner
 
 
 def random_standard_filling(rng: Random, shape: SkewShape) -> Tableau:
     """A uniformly-seeded random standard filling of ``shape`` with 1..size.
 
-    Values are placed in increasing order on a random addable cell (one whose
-    left and above neighbours inside the shape are already filled).
+    Values are placed in increasing order, each on a random addable cell: the
+    first empty cell of a row whose cell above is filled or outside the
+    shape.  Rows fill left to right, so each row's first empty column
+    (``ends``) is the whole state, and each value costs one pass over the
+    rows, which lists the addable cells in row-major order.
     """
-    remaining = set(shape.cells())
-    entries: dict[Cell, int] = {}
-
-    def addable(cell: Cell) -> bool:
-        left = Cell(cell.row, cell.col - 1)
-        above = Cell(cell.row - 1, cell.col)
-        return (left not in remaining) and (above not in remaining)
-
+    rows: list[list[int | None]] = [[None] * length for length in shape.outer.parts]
+    ends = [shape.inner.row_len(i) for i in range(1, len(rows) + 1)]
     for value in range(1, shape.size + 1):
-        frontier = sorted(cell for cell in remaining if addable(cell))
-        cell = frontier[rng.randrange(len(frontier))]
-        entries[cell] = value
-        remaining.remove(cell)
-    rows = tuple(
-        tuple(entries.get(Cell(i, j)) for j in range(1, length + 1))
-        for i, length in enumerate(shape.outer.parts, start=1)
-    )
+        frontier = [
+            i for i, row in enumerate(rows)
+            if ends[i] < len(row) and (i == 0 or ends[i] < ends[i - 1])
+        ]
+        i = frontier[rng.randrange(len(frontier))]
+        rows[i][ends[i]] = value
+        ends[i] += 1
     return Tableau(shape, rows)
 
 

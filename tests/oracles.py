@@ -3,9 +3,11 @@
 Most functions here are the loop-per-function code that the shared kernels
 replaced, kept as a differential oracle: every descent check, slide,
 completion cascade, rectification and RSK step is written out on its own,
-with validation on every call.  The tests in ``test_kernels.py`` require the
-library to agree with them move for move.  The last two decide Knuth
-equivalence by brute force, independently of insertion tableaux.
+with validation on every call.  The random filling and the region
+derivation are the earlier versions built on sets and maps of cells.  The
+tests in ``test_kernels.py`` require the library to agree with them move for
+move.  The last two decide Knuth equivalence by brute force, independently
+of insertion tableaux.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
+from random import Random
 from typing import Callable, Iterable, Sequence
 
-from taquin.errors import DomainError, ResourceLimitError
+from taquin.errors import DomainError, InvalidStateError, ResourceLimitError, ShapeError
 from taquin.hms import (
     CapacityGrid,
     Completion,
@@ -29,10 +32,9 @@ from taquin.hms import (
     TraceEvent,
     TurnaroundReport,
     classify_state,
-    maximally_embedded,
 )
 from taquin.jdt import SlideStep
-from taquin.partitions import Cell, SkewShape, inner_corners, outer_corners
+from taquin.partitions import Cell, Partition, SkewShape, inner_corners, outer_corners
 from taquin.rsk import Permutation
 from taquin.tableaux import ShapeKind, Tableau, _cells, is_standard
 
@@ -265,6 +267,96 @@ def rectify(p: Tableau, slide_policy: SlidePolicy = first_corner) -> Tableau:
             raise DomainError(f"slide policy returned {start}, not one of {corners}")
         current, _ = forward_slide(current, start)
     return current
+
+
+def random_standard_filling(rng: Random, shape: SkewShape) -> Tableau:
+    """A uniformly-seeded random standard filling of ``shape`` with 1..size.
+
+    Values are placed in increasing order on a random addable cell (one whose
+    left and above neighbours inside the shape are already filled).
+    """
+    remaining = set(shape.cells())
+    entries: dict[Cell, int] = {}
+
+    def addable(cell: Cell) -> bool:
+        left = Cell(cell.row, cell.col - 1)
+        above = Cell(cell.row - 1, cell.col)
+        return (left not in remaining) and (above not in remaining)
+
+    for value in range(1, shape.size + 1):
+        frontier = sorted(cell for cell in remaining if addable(cell))
+        cell = frontier[rng.randrange(len(frontier))]
+        entries[cell] = value
+        remaining.remove(cell)
+    rows = tuple(
+        tuple(entries.get(Cell(i, j)) for j in range(1, length + 1))
+        for i, length in enumerate(shape.outer.parts, start=1)
+    )
+    return Tableau(shape, rows)
+
+
+def skew_shape_of_cells(cells: Iterable[Cell]) -> SkewShape:
+    """The skew shape whose cell set equals ``cells``, if one exists.
+
+    Rows with no cells are given the least admissible width, which makes the
+    returned (outer, inner) pair canonical.  Raises ShapeError when the cells
+    do not form a skew diagram (gaps in a row, or rows that cannot be stacked).
+    """
+    cellset = {Cell(int(c[0]), int(c[1])) for c in cells}
+    if not cellset:
+        return SkewShape(Partition())
+    if any(c.row < 1 or c.col < 1 for c in cellset):
+        raise ShapeError("cells must have positive coordinates")
+
+    cols_by_row: dict[int, list[int]] = {}
+    for c in cellset:
+        cols_by_row.setdefault(c.row, []).append(c.col)
+    num_rows = max(cols_by_row)
+    bounds: list[tuple[int, int] | None] = [None] * (num_rows + 1)
+    for i, cols in sorted(cols_by_row.items()):
+        cols.sort()
+        if cols[-1] - cols[0] + 1 != len(cols):
+            raise ShapeError(f"row {i} has a gap: columns {cols}")
+        bounds[i] = (cols[0], cols[-1])
+
+    outer = [0] * (num_rows + 1)
+    inner = [0] * (num_rows + 1)
+    width_below = 0
+    for i in range(num_rows, 0, -1):
+        if bounds[i] is None:
+            # Empty row between occupied ones: both bounds collapse to the
+            # least width that still nests above the row below.
+            outer[i] = inner[i] = width_below
+        else:
+            first, last = bounds[i]
+            outer[i] = last
+            inner[i] = first - 1
+        width_below = outer[i]
+
+    outer_parts = outer[1:]
+    inner_parts = inner[1:]
+    for i in range(1, num_rows):
+        if outer_parts[i - 1] < outer_parts[i] or inner_parts[i - 1] < inner_parts[i]:
+            raise ShapeError("cells do not stack into a skew diagram")
+    while inner_parts and inner_parts[-1] == 0:
+        inner_parts.pop()
+    return SkewShape(Partition(outer_parts), Partition(inner_parts))
+
+
+def maximally_embedded(state: HmtState) -> tuple[SkewShape, Tableau]:
+    """The skew shape of the occupied cells and the tableau they form.
+
+    The earlier route: a cell-to-task map, the skew shape of its keys, and
+    rows rebuilt by one cell lookup each.
+    """
+    entries = dict(_cells(state.occupancy))
+    try:
+        embedded = _rebuild(skew_shape_of_cells(entries.keys()), entries)
+    except ShapeError as exc:
+        raise InvalidStateError(f"occupied cells do not form a tableau region: {exc}") from exc
+    if not state.shape.contains(embedded.shape.outer):
+        raise InvalidStateError("embedded shape exceeds the processor grid")
+    return embedded.shape, embedded
 
 
 def _require_standard_normal(state: HmtState, op: str) -> None:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -116,6 +119,27 @@ def test_trace_file_holds_stdout_with_capacities(capsys, tmp_path):
     assert (code, err) == (0, "")
     assert json.loads(out)["initial"]["capacities"] == caps
     assert trace_file.read_text(encoding="utf-8") == out
+
+
+def test_reader_closing_stdout_early_is_one_error_line(tmp_path):
+    """A reader that stops after one byte of a 1.6 MB trace gets exit 2 and no traceback."""
+    k = 16
+    cells = [[i * k + j + 1 for j in range(k)] for i in range(k)]
+    state = write(tmp_path, "full.json", {"shape": [k] * k, "cells": cells})
+    src = str(Path(figures.__file__).parents[1])
+    with subprocess.Popen(
+        [sys.executable, "-c", "import sys; from taquin.cli import main; sys.exit(main())",
+         "simulate", "--state", state, "--completions", ",".join(map(str, range(1, k * k + 1)))],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+    ) as child:
+        assert child.stdout.read(1) == b"{"
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=60) == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_unwritable_trace_path_is_input_error(capsys, tmp_path):

@@ -372,13 +372,15 @@ def test_promotion_conjugated_by_evacuation_is_its_inverse(rows, cols, seed):
 
 
 def test_evacuation_is_rotation_and_involution_at_60_by_60():
-    # Filled along antidiagonals: random_standard_filling takes seconds at 3600 cells.
+    # Filled along antidiagonals, then at random.
     k = 60
     order = sorted(((i, j) for i in range(k) for j in range(k)), key=lambda c: (c[0] + c[1], c[1]))
     grid = [[0] * k for _ in range(k)]
     for task, (i, j) in enumerate(order, start=1):
         grid[i][j] = task
     check_evacuation(HmtState.of((k,) * k, grid))
+    shape = Partition((k,) * k)
+    check_evacuation(HmtState(shape, random_standard_filling(Random(60), SkewShape(shape)).rows))
 
 
 def assert_untouched_rows_shared(trace, holes) -> None:

@@ -3,7 +3,9 @@
 Every public function built on ``tableaux._descents``, ``jdt._slide`` or
 ``tableaux._bump`` must agree with its earlier implementation in
 ``oracles.py``: same results, same descent pairs, slide steps and relocations
-in the same order, same trace states.
+in the same order, same trace states.  The row-grid random filling and region
+derivation must agree with the earlier cell-set versions: same values, same
+random draws, same error messages.
 """
 
 from __future__ import annotations
@@ -15,8 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taquin import hms, jdt
+from taquin.errors import InvalidStateError, ShapeError
 from taquin.hms import HmtState
-from taquin.partitions import Partition, SkewShape, inner_corners, outer_corners
+from taquin.partitions import (
+    Partition,
+    SkewShape,
+    inner_corners,
+    outer_corners,
+    skew_shape_of_cells,
+)
 from taquin.randgen import (
     random_hierarchical_capacities,
     random_requirements,
@@ -202,3 +211,54 @@ def test_rsk_and_inverse_match_oracle(word):
     assert row_insert(p, pi.n + 1) == oracles.row_insert(p, pi.n + 1)
     for corner in inner_corners(p.shape.outer):
         assert reverse_bump(p, corner) == oracles.reverse_bump(p, corner)
+
+
+def outcome(f, *args):
+    """``f(*args)``, or the type and message of the region error it raises."""
+    try:
+        return f(*args)
+    except (ShapeError, InvalidStateError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(skew_shapes(10, 10), SEEDS)
+def test_random_filling_matches_oracle_draw_for_draw(shape, seed):
+    rng, oracle_rng = Random(seed), Random(seed)
+    assert random_standard_filling(rng, shape) == oracles.random_standard_filling(oracle_rng, shape)
+    assert rng.getstate() == oracle_rng.getstate()
+
+
+@st.composite
+def cell_sets(draw) -> list[tuple[int, int]]:
+    """The cells of a skew shape with rows dropped and cells toggled.
+
+    That gives gaps, empty middle rows, rows that cannot stack and, at
+    row or column 0, coordinates that are not positive.
+    """
+    cells = {tuple(cell) for cell in draw(skew_shapes(6, 6)).cells()}
+    dropped = draw(st.sets(st.integers(1, 6), max_size=2))
+    cells = {cell for cell in cells if cell[0] not in dropped}
+    for cell in draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=3)):
+        cells ^= {cell}
+    return draw(st.permutations(sorted(cells)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell_sets())
+def test_skew_shape_of_cells_matches_oracle(cells):
+    assert outcome(skew_shape_of_cells, cells) == outcome(oracles.skew_shape_of_cells, cells)
+
+
+@st.composite
+def meshes_holding_a_filling(draw) -> HmtState:
+    """A skew tableau, in or out of order, in the corner of a mesh up to two rows and columns larger."""
+    t = draw(st.one_of(skew_syt(), generalized_fillings()))
+    rows, cols = t.shape.outer.num_rows, t.shape.outer.parts[0]
+    return embed(t, rows + draw(st.integers(0, 2)), cols + draw(st.integers(0, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(any_occupancy(), meshes_holding_a_filling()))
+def test_maximally_embedded_matches_oracle(state):
+    assert outcome(hms.maximally_embedded, state) == outcome(oracles.maximally_embedded, state)

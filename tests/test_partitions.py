@@ -189,3 +189,13 @@ def test_skew_shape_of_cells_accepts_disconnected_regions():
 
 def test_skew_shape_of_cells_empty():
     assert skew_shape_of_cells([]).size == 0
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [[(1, 1.9), (1, 2.2)], [("1", "2")], [(True, True)], [(1, 1), (1, 2.0)], [(1.0, 1)]],
+)
+def test_skew_shape_of_cells_rejects_coordinates_that_are_not_integers(cells):
+    # int() would truncate (1, 1.9), (1, 2.2) into a two-cell row.
+    with pytest.raises(ShapeError, match="coordinates must be integers"):
+        skew_shape_of_cells(cells)
