@@ -39,7 +39,7 @@ from .rsk import (
     rsk_inverse,
 )
 from .jdt import (
-    SlideStep,
+    Relocation,
     backward_slide_trace,
     forward_slide_trace,
     jdt_equivalent,
@@ -51,7 +51,6 @@ from .hms import (
     HmtState,
     ReassignmentTrace,
     RectifyCorner,
-    Relocation,
     StateKind,
     TaskRun,
     TaskSet,

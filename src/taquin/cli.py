@@ -54,6 +54,8 @@ SEED_ENV_VAR = "TAQUIN_SEED"
 MAX_COUNT_CELLS = 2000  # f <= sqrt(n!) then prints within the 4300-digit int-to-str limit
 MAX_IDENTITY_N = 40  # the check walks all p(n) shapes: ~2 s at n=40, ~12 s at n=50
 MAX_RANDOM_TRIALS = 10000  # about 0.55 ms a trial, so about 6 s
+MAX_RSK_N = 5000  # a decreasing word bumps n^2/2 times: ~1.3 s at n=5000, either direction
+MAX_TURNAROUND_CELLS = 1024  # a one-row mesh shifts its whole row per completion: ~1 s at 1x1024
 # Snapshots share the rows a cascade does not touch, so a trace's memory follows
 # its relocations; its text still holds one full state per event: ~22 MB of
 # JSON at 32x32, growing as cells^2.
@@ -104,13 +106,18 @@ def _load_json(path: str) -> Any:
         raise TaquinError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_traced_state(path: str) -> HmtState:
+def _load_state(path: str, max_cells: int, what: str) -> HmtState:
     state = decode_hmt_state(_load_json(path))
-    if state.shape.n > MAX_TRACE_CELLS:
+    if state.shape.n > max_cells:
         raise ResourceLimitError(
-            f"mesh has {state.shape.n} cells; traces are bounded to {MAX_TRACE_CELLS}"
+            f"mesh has {state.shape.n} cells; {what} are bounded to {max_cells}"
         )
     return state
+
+
+def _check_rsk_n(n: int) -> None:
+    if n > MAX_RSK_N:
+        raise ResourceLimitError(f"rsk is bounded to n <= {MAX_RSK_N}, got n = {n}")
 
 
 def _emit(obj: Any) -> None:
@@ -167,6 +174,7 @@ def _cmd_verify_identity(args: argparse.Namespace) -> int:
 def _cmd_rsk(args: argparse.Namespace) -> int:
     if args.inverse is not None:
         p = decode_tableau(_load_json(args.inverse[0]))
+        _check_rsk_n(p.size)  # a Q of another shape is rejected before any bump
         q = decode_tableau(_load_json(args.inverse[1]))
         pi = rsk_inverse(p, q)
         _emit(
@@ -179,7 +187,9 @@ def _cmd_rsk(args: argparse.Namespace) -> int:
         return 0
     if args.perm is None:
         raise TaquinError("rsk needs --perm or --inverse")
-    pi = decode_permutation(list(_parse_int_list(args.perm, "--perm")))
+    word = _parse_int_list(args.perm, "--perm")
+    _check_rsk_n(len(word))
+    pi = decode_permutation(list(word))
     p, q = rsk(pi)
     _emit(
         {
@@ -192,13 +202,13 @@ def _cmd_rsk(args: argparse.Namespace) -> int:
 
 
 def _cmd_rectify(args: argparse.Namespace) -> int:
-    state = _load_traced_state(args.state)
+    state = _load_state(args.state, MAX_TRACE_CELLS, "traces")
     _emit_trace(rectify_assignment(state), args.trace)
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    state = _load_traced_state(args.state)
+    state = _load_state(args.state, MAX_TRACE_CELLS, "traces")
     completions = _parse_int_list(args.completions, "--completions")
     _emit_trace(reassignment_sequence(state, completions), args.trace)
     return 0
@@ -239,7 +249,7 @@ def _cmd_turnaround(args: argparse.Namespace) -> int:
         return _turnaround_random(args)
     if args.state is None or args.requirements is None:
         raise TaquinError("turnaround needs --state and --requirements (or --random N)")
-    state = decode_hmt_state(_load_json(args.state))
+    state = _load_state(args.state, MAX_TURNAROUND_CELLS, "turnarounds")
     tasks = decode_task_set(_load_json(args.requirements))
     if args.capacities is not None:
         caps = decode_capacity_grid(_load_json(args.capacities))

@@ -9,8 +9,7 @@ committed golden files pin the output byte for byte.
 from __future__ import annotations
 
 import json
-from importlib import resources
-from pathlib import Path
+import os
 from typing import Any, Callable, NamedTuple
 
 from .hms import (
@@ -36,12 +35,13 @@ from .rsk import Permutation, rsk
 from .tableaux import Tableau
 
 FIG3_COMPLETIONS = (1, 3, 2, 5, 8, 4, 6, 7, 9)
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 
 def fixture_text(relative: str) -> str:
     """Contents of a bundled fixture file, e.g. ``states/fig6c.json``."""
-    root = resources.files("taquin") / "fixtures"
-    return (root / relative).read_text(encoding="utf-8")
+    with open(os.path.join(FIXTURES, relative), encoding="utf-8") as handle:
+        return handle.read()
 
 
 def load_state_fixture(name: str):
@@ -206,10 +206,11 @@ def run_all() -> list[FigureResult]:
     return results
 
 
-def update_goldens() -> Path:
+def update_goldens() -> str:
     """Rewrite the golden files from the current implementation (maintainer tool)."""
-    golden_dir = Path(__file__).resolve().parent / "fixtures" / "golden"
-    golden_dir.mkdir(parents=True, exist_ok=True)
+    golden_dir = os.path.join(FIXTURES, "golden")
+    os.makedirs(golden_dir, exist_ok=True)
     for name in FIGURES:
-        (golden_dir / f"{name}.json").write_text(render(name), encoding="utf-8")
+        with open(os.path.join(golden_dir, f"{name}.json"), "w", encoding="utf-8") as handle:
+            handle.write(render(name))
     return golden_dir

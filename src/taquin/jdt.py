@@ -15,16 +15,8 @@ from .partitions import Cell, Partition, SkewShape, inner_corners, outer_corners
 from .tableaux import Tableau, is_partial
 
 
-class SlideStep(NamedTuple):
-    """One hole move: ``moved_entry`` slid from ``source`` into ``hole``."""
-
-    hole: Cell
-    moved_entry: int
-    source: Cell
-
-
 class Relocation(NamedTuple):
-    """One task moved from a busy cell into the adjacent idle cell."""
+    """One move: ``task``, a tableau entry or a task ID, slid from ``source`` into ``dest``."""
 
     task: int
     source: Cell
@@ -64,7 +56,7 @@ def _require_partial(p: Tableau) -> None:
         raise DomainError("slides are defined on strictly increasing tableaux")
 
 
-def forward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[SlideStep, ...]]:
+def forward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[Relocation, ...]]:
     """Forward slide returning the result, the vacated cell, and every hole move."""
     start = Cell(*start)
     _require_partial(p)
@@ -78,10 +70,10 @@ def forward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[S
     if not grid[-1]:
         grid.pop()
     shape = SkewShape(p.shape.outer.remove_corner(vacated), p.shape.inner.remove_corner(start))
-    return Tableau(shape, grid), vacated, tuple(SlideStep(m.dest, m.task, m.source) for m in moves)
+    return Tableau(shape, grid), vacated, tuple(moves)
 
 
-def backward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[SlideStep, ...]]:
+def backward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[Relocation, ...]]:
     """Backward slide returning the result, the vacated cell, and every hole move."""
     start = Cell(*start)
     _require_partial(p)
@@ -95,7 +87,7 @@ def backward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[
     moves = _slide(grid, start, -1)
     vacated = moves[-1].source if moves else start
     shape = SkewShape(p.shape.outer.add_corner(start), p.shape.inner.add_corner(vacated))
-    return Tableau(shape, grid), vacated, tuple(SlideStep(m.dest, m.task, m.source) for m in moves)
+    return Tableau(shape, grid), vacated, tuple(moves)
 
 
 def _rectify_slides(grid: Grid, inner: Partition) -> Iterator[tuple[Cell, list[Relocation]]]:

@@ -20,11 +20,10 @@ from .hms import (
     HmtState,
     ReassignmentTrace,
     RectifyCorner,
-    Relocation,
     TaskSet,
     TraceEvent,
 )
-from .jdt import SlideStep
+from .jdt import Relocation
 from .partitions import Cell, Partition, SkewShape
 from .rsk import Permutation
 from .tableaux import Tableau
@@ -93,24 +92,25 @@ def decode_cell(obj: Any) -> Cell:
     return Cell(_expect_int(pair[0], "row"), _expect_int(pair[1], "col"))
 
 
+def _decode_grid(
+    obj: Any, rows_what: str, row_what: str, entry_what: str
+) -> tuple[tuple[int | None, ...], ...]:
+    return tuple(
+        tuple(
+            None if entry is None else _expect_int(entry, entry_what)
+            for entry in _expect_list(row, row_what)
+        )
+        for row in _expect_list(obj, rows_what)
+    )
+
+
 def encode_tableau(t: Tableau) -> dict:
-    return {
-        "outer": encode_partition(t.shape.outer),
-        "inner": encode_partition(t.shape.inner),
-        "rows": [list(row) for row in t.rows],
-    }
+    return {**encode_skew_shape(t.shape), "rows": [list(row) for row in t.rows]}
 
 
 def decode_tableau(obj: Any) -> Tableau:
     data = _expect_object(obj, "tableau")
-    rows = _expect_list(data.get("rows", []), "tableau rows")
-    grid = tuple(
-        tuple(
-            None if entry is None else _expect_int(entry, "tableau entry")
-            for entry in _expect_list(row, "tableau row")
-        )
-        for row in rows
-    )
+    grid = _decode_grid(data.get("rows", []), "tableau rows", "tableau row", "tableau entry")
     return Tableau(
         SkewShape(
             decode_partition(data.get("outer", [])),
@@ -159,14 +159,7 @@ def encode_hmt_state(state: HmtState) -> dict:
 def decode_hmt_state(obj: Any) -> HmtState:
     data = _expect_object(obj, "mesh state")
     shape = decode_partition(data.get("shape", []))
-    rows = _expect_list(data.get("cells", []), "occupancy rows")
-    grid = tuple(
-        tuple(
-            None if task is None else _expect_int(task, "task ID")
-            for task in _expect_list(row, "occupancy row")
-        )
-        for row in rows
-    )
+    grid = _decode_grid(data.get("cells", []), "occupancy rows", "occupancy row", "task ID")
     capacities = None
     if "capacities" in data and data["capacities"] is not None:
         capacities = CapacityGrid(shape, _decode_rates(data["capacities"], "capacities"))
@@ -363,12 +356,8 @@ def write_trace(trace: ReassignmentTrace, write: Callable[[str], object]) -> Non
     write(events_end + ',\n  "initial": ' + _state_writer(2)(trace.initial) + "\n}\n")
 
 
-def encode_slide_steps(steps: Sequence[SlideStep]) -> list[dict]:
+def encode_slide_steps(moves: Sequence[Relocation]) -> list[dict]:
     return [
-        {
-            "hole": encode_cell(step.hole),
-            "moved_entry": step.moved_entry,
-            "from": encode_cell(step.source),
-        }
-        for step in steps
+        {"hole": encode_cell(move.dest), "moved_entry": move.task, "from": encode_cell(move.source)}
+        for move in moves
     ]

@@ -89,24 +89,18 @@ def random_standard_assignment(
     return _place(random_standard_filling(rng, SkewShape(region)), rows, cols)
 
 
-def random_skew_assignment(
-    rng: Random,
-    max_rows: int = 4,
-    max_cols: int = 4,
-    min_tasks: int = 1,
-) -> HmtState:
-    """A standard skew-shape mesh state (nonempty embedded inner shape)."""
+def random_skew_assignment(rng: Random, max_rows: int = 4, max_cols: int = 4) -> HmtState:
+    """A standard skew-shape mesh state: at least one task, nonempty embedded inner shape."""
     while True:
         rows = rng.randint(1, max_rows)
         cols = rng.randint(1, max_cols)
-        if rows * cols < min_tasks + 1:
+        if rows * cols < 2:
             continue
-        outer = random_partition_in_box(rng, rows, cols, min_cells=min_tasks + 1)
+        outer = random_partition_in_box(rng, rows, cols, min_cells=2)
         inner = random_subpartition(rng, outer)
-        shape = SkewShape(outer, inner)
-        if not inner.parts or shape.size < min_tasks:
+        if not inner.parts:  # a strict subpartition leaves at least one task
             continue
-        return _place(random_standard_filling(rng, shape), rows, cols)
+        return _place(random_standard_filling(rng, SkewShape(outer, inner)), rows, cols)
 
 
 def random_hierarchical_capacities(rng: Random, shape: Partition) -> CapacityGrid:

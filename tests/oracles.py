@@ -33,7 +33,6 @@ from taquin.hms import (
     TurnaroundReport,
     classify_state,
 )
-from taquin.jdt import SlideStep
 from taquin.partitions import Cell, Partition, SkewShape, inner_corners, outer_corners
 from taquin.rsk import Permutation
 from taquin.tableaux import ShapeKind, Tableau, _cells, is_standard
@@ -169,7 +168,7 @@ def rsk_inverse(p: Tableau, q: Tableau) -> Permutation:
     return Permutation(tuple(word))
 
 
-def forward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[SlideStep, ...]]:
+def forward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[Relocation, ...]]:
     """Forward slide returning the result, the vacated cell, and every hole move."""
     start = Cell(*start)
     if not is_partial(p):
@@ -180,7 +179,7 @@ def forward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[S
     entries = p.to_cell_map()
     stops = set(inner_corners(p.shape.outer))
     hole = start
-    steps: list[SlideStep] = []
+    steps: list[Relocation] = []
     while hole not in stops:
         right = entries.get(Cell(hole.row, hole.col + 1))
         below = entries.get(Cell(hole.row + 1, hole.col))
@@ -192,7 +191,7 @@ def forward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[S
             source = Cell(hole.row + 1, hole.col)
             moved = below
         assert moved is not None  # a non-corner hole always has an occupied neighbor
-        steps.append(SlideStep(hole, moved, source))
+        steps.append(Relocation(moved, source, hole))
         entries[hole] = moved
         del entries[source]
         hole = source
@@ -204,7 +203,7 @@ def forward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[S
     return _rebuild(new_shape, entries), hole, tuple(steps)
 
 
-def backward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[SlideStep, ...]]:
+def backward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[Relocation, ...]]:
     """Backward slide returning the result, the vacated cell, and every hole move."""
     start = Cell(*start)
     if not is_partial(p):
@@ -215,7 +214,7 @@ def backward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[
     entries = p.to_cell_map()
     stops = set(outer_corners(p.shape.inner))
     hole = start
-    steps: list[SlideStep] = []
+    steps: list[Relocation] = []
     while hole not in stops:
         above = entries.get(Cell(hole.row - 1, hole.col))
         left = entries.get(Cell(hole.row, hole.col - 1))
@@ -227,7 +226,7 @@ def backward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[
             source = Cell(hole.row, hole.col - 1)
             moved = left
         assert moved is not None
-        steps.append(SlideStep(hole, moved, source))
+        steps.append(Relocation(moved, source, hole))
         entries[hole] = moved
         del entries[source]
         hole = source
@@ -452,15 +451,13 @@ def rectify_assignment(a0: HmtState, slide_policy: SlidePolicy = first_corner) -
         corner = Cell(*slide_policy(corners))
         if corner not in corners:
             raise DomainError(f"slide policy returned {corner}, not one of {corners}")
-        current, _, steps = forward_slide_trace(current, corner)
+        current, _, relocations = forward_slide_trace(current, corner)
         grid = [list(row) for row in state.occupancy]
-        relocations = []
-        for step in steps:
-            grid[step.hole.row - 1][step.hole.col - 1] = step.moved_entry
-            grid[step.source.row - 1][step.source.col - 1] = None
-            relocations.append(Relocation(step.moved_entry, step.source, step.hole))
+        for move in relocations:
+            grid[move.dest.row - 1][move.dest.col - 1] = move.task
+            grid[move.source.row - 1][move.source.col - 1] = None
         state = HmtState(state.shape, grid, state.capacities)
-        events.append(TraceEvent(RectifyCorner(corner), tuple(relocations), state))
+        events.append(TraceEvent(RectifyCorner(corner), relocations, state))
     return ReassignmentTrace(a0, tuple(events))
 
 

@@ -6,7 +6,7 @@ import time
 from pathlib import Path
 
 from taquin import figures
-from taquin.cli import main
+from taquin.cli import MAX_RSK_N, MAX_TURNAROUND_CELLS, main
 
 STATES = Path(figures.__file__).parent / "fixtures" / "states"
 
@@ -384,6 +384,20 @@ def test_turnaround_random_rejects_negative_trials(capsys):
 
 def test_turnaround_random_rejects_trials_over_the_bound(capsys):
     assert_bounded_input_error(capsys, "turnaround", "--random", "10001")
+
+
+def test_turnaround_rejects_meshes_over_the_cell_bound(capsys, tmp_path):
+    width = MAX_TURNAROUND_CELLS + 1
+    state = write(tmp_path, "s.json", {"shape": [width], "cells": [[1] + [None] * (width - 1)]})
+    reqs = write(tmp_path, "r.json", {"1": "1"})
+    assert_bounded_input_error(capsys, "turnaround", "--state", state, "--requirements", reqs)
+
+
+def test_rsk_rejects_n_over_the_bound(capsys, tmp_path):
+    word = list(range(1, MAX_RSK_N + 2))
+    assert_bounded_input_error(capsys, "rsk", "--perm", ",".join(map(str, word)))
+    row = write(tmp_path, "row.json", {"outer": [len(word)], "inner": [], "rows": [word]})
+    assert_bounded_input_error(capsys, "rsk", "--inverse", row, row)
 
 
 def test_simulate_and_rectify_reject_meshes_over_the_cell_bound(capsys, tmp_path):

@@ -493,11 +493,11 @@ def all_rectification_outcomes(state):
         return {state.occupancy}
     outcomes = set()
     for corner in inner_corners(shape.inner):
-        _, _, steps = forward_slide_trace(embedded, corner)
+        _, _, moves = forward_slide_trace(embedded, corner)
         moved = [list(row) for row in state.occupancy]
-        for step in steps:
-            moved[step.hole.row - 1][step.hole.col - 1] = step.moved_entry
-            moved[step.source.row - 1][step.source.col - 1] = None
+        for move in moves:
+            moved[move.dest.row - 1][move.dest.col - 1] = move.task
+            moved[move.source.row - 1][move.source.col - 1] = None
         outcomes |= all_rectification_outcomes(HmtState(state.shape, moved, state.capacities))
     return outcomes
 

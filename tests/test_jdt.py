@@ -77,15 +77,15 @@ def test_slide_rejects_bad_start():
 
 
 def test_slide_steps_record_every_move():
-    _, _, steps = forward_slide_trace(EXAMPLE, Cell(1, 1))
-    assert [(s.hole, s.moved_entry, s.source) for s in steps] == [
+    _, _, moves = forward_slide_trace(EXAMPLE, Cell(1, 1))
+    assert [(m.dest, m.task, m.source) for m in moves] == [
         (Cell(1, 1), 2, Cell(2, 1)),
         (Cell(2, 1), 4, Cell(2, 2)),
         (Cell(2, 2), 7, Cell(3, 2)),
         (Cell(3, 2), 10, Cell(3, 3)),
     ]
-    _, _, steps = backward_slide_trace(EXAMPLE, Cell(2, 4))
-    assert [s.moved_entry for s in steps] == [9, 5, 3]
+    _, _, moves = backward_slide_trace(EXAMPLE, Cell(2, 4))
+    assert [m.task for m in moves] == [9, 5, 3]
 
 
 def test_rectify_worked_examples():
