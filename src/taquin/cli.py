@@ -55,11 +55,11 @@ MAX_COUNT_CELLS = 2000  # f <= sqrt(n!) then prints within the 4300-digit int-to
 MAX_IDENTITY_N = 40  # the check walks all p(n) shapes: ~2 s at n=40, ~12 s at n=50
 MAX_RANDOM_TRIALS = 10000  # about 0.55 ms a trial, so about 6 s
 MAX_RSK_N = 5000  # a decreasing word bumps n^2/2 times: ~1.3 s at n=5000, either direction
-MAX_TURNAROUND_CELLS = 1024  # a one-row mesh shifts its whole row per completion: ~1 s at 1x1024
-# Snapshots share the rows a cascade does not touch, so a trace's memory follows
-# its relocations; its text still holds one full state per event: ~22 MB of
-# JSON at 32x32, growing as cells^2.
-MAX_TRACE_CELLS = 1024
+MAX_TURNAROUND_CELLS = 1024  # bounds the exact rational sums, one term per task
+# A trace's text holds one full state per event, and each cascade makes fewer
+# than rows + cols relocations, so cells x (rows + cols) bounds both: 65536 is
+# 32x32's value (~25 MB of JSON) and caps a one-row mesh at 1x255.
+MAX_TRACE_SIZE = 65536
 
 
 class _Parser(argparse.ArgumentParser):
@@ -106,11 +106,18 @@ def _load_json(path: str) -> Any:
         raise TaquinError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_state(path: str, max_cells: int, what: str) -> HmtState:
+def _load_state(path: str, trace: bool) -> HmtState:
+    """Decode a mesh state held to the trace bound, or else to the turnaround bound."""
     state = decode_hmt_state(_load_json(path))
-    if state.shape.n > max_cells:
+    cells, rows, cols = state.shape.n, state.shape.num_rows, state.shape.row_len(1)
+    if trace and cells * (rows + cols) > MAX_TRACE_SIZE:
         raise ResourceLimitError(
-            f"mesh has {state.shape.n} cells; {what} are bounded to {max_cells}"
+            f"a {rows}x{cols} mesh has cells x (rows + cols) = {cells * (rows + cols)};"
+            f" traces are bounded to {MAX_TRACE_SIZE}"
+        )
+    if not trace and cells > MAX_TURNAROUND_CELLS:
+        raise ResourceLimitError(
+            f"mesh has {cells} cells; turnarounds are bounded to {MAX_TURNAROUND_CELLS}"
         )
     return state
 
@@ -177,38 +184,25 @@ def _cmd_rsk(args: argparse.Namespace) -> int:
         _check_rsk_n(p.size)  # a Q of another shape is rejected before any bump
         q = decode_tableau(_load_json(args.inverse[1]))
         pi = rsk_inverse(p, q)
-        _emit(
-            {
-                "P": encode_tableau(p),
-                "Q": encode_tableau(q),
-                "perm": encode_permutation(pi),
-            }
-        )
-        return 0
-    if args.perm is None:
+    elif args.perm is not None:
+        word = _parse_int_list(args.perm, "--perm")
+        _check_rsk_n(len(word))
+        pi = decode_permutation(list(word))
+        p, q = rsk(pi)
+    else:
         raise TaquinError("rsk needs --perm or --inverse")
-    word = _parse_int_list(args.perm, "--perm")
-    _check_rsk_n(len(word))
-    pi = decode_permutation(list(word))
-    p, q = rsk(pi)
-    _emit(
-        {
-            "perm": encode_permutation(pi),
-            "P": encode_tableau(p),
-            "Q": encode_tableau(q),
-        }
-    )
+    _emit({"P": encode_tableau(p), "Q": encode_tableau(q), "perm": encode_permutation(pi)})
     return 0
 
 
 def _cmd_rectify(args: argparse.Namespace) -> int:
-    state = _load_state(args.state, MAX_TRACE_CELLS, "traces")
+    state = _load_state(args.state, trace=True)
     _emit_trace(rectify_assignment(state), args.trace)
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    state = _load_state(args.state, MAX_TRACE_CELLS, "traces")
+    state = _load_state(args.state, trace=True)
     completions = _parse_int_list(args.completions, "--completions")
     _emit_trace(reassignment_sequence(state, completions), args.trace)
     return 0
@@ -249,7 +243,7 @@ def _cmd_turnaround(args: argparse.Namespace) -> int:
         return _turnaround_random(args)
     if args.state is None or args.requirements is None:
         raise TaquinError("turnaround needs --state and --requirements (or --random N)")
-    state = _load_state(args.state, MAX_TURNAROUND_CELLS, "turnarounds")
+    state = _load_state(args.state, trace=False)
     tasks = decode_task_set(_load_json(args.requirements))
     if args.capacities is not None:
         caps = decode_capacity_grid(_load_json(args.capacities))

@@ -245,14 +245,10 @@ def _require_standard_normal(state: HmtState, op: str) -> None:
         raise DomainError(f"{op} needs a standard state of normal shape")
 
 
-def _complete(grid: Grid, cells: dict[int, Cell], task: int) -> tuple[Relocation, ...]:
-    """Vacate ``task``'s cell and cascade, updating ``grid`` and the task-to-cell map in place."""
-    hole = cells.pop(task)
+def _complete(grid: Grid, hole: Cell) -> tuple[Relocation, ...]:
+    """Vacate ``hole`` and cascade, updating ``grid`` in place."""
     grid[hole.row - 1][hole.col - 1] = None
-    relocations = tuple(_slide(grid, hole, 1))
-    for move in relocations:
-        cells[move.task] = move.dest
-    return relocations
+    return tuple(_slide(grid, hole, 1))
 
 
 def reassign_on_completion(state: HmtState, task: int) -> tuple[HmtState, tuple[Relocation, ...]]:
@@ -266,7 +262,7 @@ def reassign_on_completion(state: HmtState, task: int) -> tuple[HmtState, tuple[
     _require_standard_normal(state, "reassign_on_completion")
     hole = state.cell_of(task)
     grid = [list(row) for row in state.occupancy]
-    relocations = _complete(grid, {task: hole}, task)
+    relocations = _complete(grid, hole)
     return state._after_slide(grid, hole, relocations), relocations
 
 
@@ -293,8 +289,10 @@ def reassignment_sequence(a0: HmtState, completions: Iterable[int]) -> Reassignm
     state = a0
     for index, task in enumerate(completions):
         if index < m - 1:
-            hole = cells[task]
-            relocations = _complete(grid, cells, task)
+            hole = cells.pop(task)
+            relocations = _complete(grid, hole)
+            for move in relocations:
+                cells[move.task] = move.dest
             state = state._after_slide(grid, hole, relocations)
             events.append(TraceEvent(Completion(task), relocations, state))
         else:
@@ -370,9 +368,9 @@ def turnaround_sequential(
     """Total turnaround of running tasks 1..m in priority order, one at a time.
 
     Each duration is requirement/capacity at the cell the task occupies when
-    it starts.  With ``relocate`` the greedy cascade runs after every
-    completion (relocations are cost-free), so each next task starts on the
-    fastest processor; without it tasks run where initially assigned.
+    it starts: its initial cell, or with ``relocate`` (cost-free cascades)
+    always (1,1), the fastest processor, because each cascade is a jeu de
+    taquin slide and keeps the state standard and of normal shape.
     """
     if caps.shape != a0.shape:
         raise DomainError("capacity grid shape differs from state shape")
@@ -384,12 +382,9 @@ def turnaround_sequential(
     if tasks.m != m:
         raise DomainError(f"need requirements for exactly {m} tasks, got {tasks.m}")
 
-    grid = [list(row) for row in a0.occupancy]
     runs: list[TaskRun] = []
     for task in range(1, m + 1):
-        cell = cells[task]
+        cell = Cell(1, 1) if relocate else cells[task]
         runs.append(TaskRun(task, cell, tasks.requirement(task) / caps.rate(cell)))
-        if relocate:
-            _complete(grid, cells, task)
     total = sum((run.duration for run in runs), Fraction(0))
     return TurnaroundReport(total, tuple(runs))

@@ -17,6 +17,9 @@ class Permutation:
     def __post_init__(self) -> None:
         word = tuple(self.word)
         object.__setattr__(self, "word", word)
+        for letter in word:
+            if not isinstance(letter, int) or isinstance(letter, bool):
+                raise DomainError(f"letter {letter!r} is not an integer")
         if sorted(word) != list(range(1, len(word) + 1)):
             raise DomainError(f"{word} is not a rearrangement of 1..{len(word)}")
 

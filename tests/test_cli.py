@@ -410,3 +410,13 @@ def test_simulate_and_rectify_reject_meshes_over_the_cell_bound(capsys, tmp_path
         [None] + [i * k + j for j in range(1, k)] for i in range(k)
     ]})
     assert_bounded_input_error(capsys, "rectify", "--state", skew)
+
+
+def test_simulate_and_rectify_reject_one_row_meshes_over_the_trace_bound(capsys, tmp_path):
+    # 300 cells are under 32x32's, but a full completion sequence relocates ~300^2/2 times.
+    k = 300
+    full = write(tmp_path, "full.json", {"shape": [k], "cells": [list(range(1, k + 1))]})
+    completions = ",".join(map(str, range(1, k + 1)))
+    assert_bounded_input_error(capsys, "simulate", "--state", full, "--completions", completions)
+    skew = write(tmp_path, "skew.json", {"shape": [k], "cells": [[None] + list(range(1, k))]})
+    assert_bounded_input_error(capsys, "rectify", "--state", skew)

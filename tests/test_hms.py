@@ -330,6 +330,7 @@ def evacuate(a0: HmtState) -> HmtState:
     grid: list[list[int | None]] = [[None] * len(row) for row in a0.occupancy]
     before = a0
     for k, event in enumerate(reassignment_sequence(a0, range(1, m + 1)).events, start=1):
+        assert before.occupancy[0][0] == k  # the slide keeps the next task on (1,1)
         vacated = event.relocations[-1].source if event.relocations else before.cell_of(k)
         grid[vacated.row - 1][vacated.col - 1] = m + 1 - k
         before = event.state

@@ -29,6 +29,12 @@ def test_permutation_validation():
         Permutation((2, 3))
 
 
+@pytest.mark.parametrize("word", [(True,), (2.0, 1.0), (1, "2")])
+def test_permutation_rejects_letters_that_are_not_ints(word):
+    with pytest.raises(DomainError, match="not an integer"):
+        Permutation(word)
+
+
 def test_rsk_worked_example():
     p, q = rsk(Permutation((7, 8, 2, 3, 5, 4, 1, 6)))
     assert p == Tableau.normal([[1, 3, 4, 6], [2, 8], [5], [7]])
