@@ -9,13 +9,16 @@ are immutable snapshots; every function returns new values.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from functools import cached_property
+from itertools import chain
+from typing import Iterable, NamedTuple
 
-from .errors import DomainError, InvalidStateError, ShapeError
-from .jdt import Grid, Relocation, _rectify_slides, _slide
+from .errors import DomainError, InvalidStateError, ResourceLimitError, ShapeError
+from .jdt import Relocation, _cell_table, _rectify_slides, _relocations, _replay, _slide
 from .partitions import Cell, Partition, SkewShape, _skew_shape_of_rows
 from .tableaux import ShapeKind, Tableau, _at, _cells, _descents, is_partial
 
@@ -161,16 +164,6 @@ class HmtState:
         vars(snapshot).update(vars(self), occupancy=occupancy)
         return snapshot
 
-    def _after_slide(self, grid: Grid, hole: Cell, moves: Sequence[Relocation]) -> HmtState:
-        """Snapshot of ``grid``: this state's occupancy, changed by one forward slide from ``hole``.
-
-        The slide rewrote only the rows from the hole's down to its last move's
-        source, so every other row is this state's own tuple, shared.
-        """
-        first, last = hole.row - 1, moves[-1].source.row if moves else hole.row
-        rows = self.occupancy
-        return self._snapshot(rows[:first] + tuple(map(tuple, grid[first:last])) + rows[last:])
-
 
 def maximally_embedded(state: HmtState) -> tuple[SkewShape, Tableau]:
     """The skew shape of the occupied cells and the tableau they form (prefixes of the rows)."""
@@ -222,33 +215,46 @@ class TraceEvent:
     noop: bool = False
 
 
-@dataclass(frozen=True)
 class ReassignmentTrace:
-    initial: HmtState
-    events: tuple[TraceEvent, ...]
+    """An initial state and its events; the library's traces replay theirs from a move log."""
+
+    def __init__(self, initial: HmtState, events: Iterable[TraceEvent]) -> None:
+        self.initial, self.events, self._log = initial, tuple(events), None
+
+    @classmethod
+    def _logged(cls, initial: HmtState, kind: type, args: list, log: list[int], ends: list[int]):
+        """A trace whose event e has trigger ``kind(args[e])`` and ends at ``log[ends[e]]``."""
+        trace = object.__new__(cls)
+        vars(trace).update(initial=initial, _kind=kind, _args=args, _log=log, _ends=ends)
+        return trace
+
+    @cached_property
+    def events(self) -> tuple[TraceEvent, ...]:
+        a0, state, events = self.initial, self.initial, []
+        cells = _cell_table(a0.occupancy)
+        for arg, (log, rows) in zip(self._args, _replay(a0.occupancy, self._log, self._ends)):
+            state = a0._snapshot(rows) if log else state
+            events.append(TraceEvent(self._kind(arg), _relocations(log, cells), state, not log))
+        return tuple(events)
 
     @property
     def states(self) -> tuple[HmtState, ...]:
         """The assignment sequence: initial state plus one state per relocating event."""
-        return (self.initial,) + tuple(
-            event.state for event in self.events if not event.noop
-        )
+        return (self.initial,) + tuple(event.state for event in self.events if not event.noop)
 
     @property
     def final(self) -> HmtState:
         return self.events[-1].state if self.events else self.initial
+
+    def __eq__(self, other: object) -> bool:
+        same_type = isinstance(other, ReassignmentTrace)
+        return same_type and (self.initial, self.events) == (other.initial, other.events)
 
 
 def _require_standard_normal(state: HmtState, op: str) -> None:
     kind, form = classify_state(state)
     if kind is not StateKind.STANDARD or form is not ShapeKind.NORMAL:
         raise DomainError(f"{op} needs a standard state of normal shape")
-
-
-def _complete(grid: Grid, hole: Cell) -> tuple[Relocation, ...]:
-    """Vacate ``hole`` and cascade, updating ``grid`` in place."""
-    grid[hole.row - 1][hole.col - 1] = None
-    return tuple(_slide(grid, hole, 1))
 
 
 def reassign_on_completion(state: HmtState, task: int) -> tuple[HmtState, tuple[Relocation, ...]]:
@@ -260,10 +266,10 @@ def reassign_on_completion(state: HmtState, task: int) -> tuple[HmtState, tuple[
     and of normal shape again.
     """
     _require_standard_normal(state, "reassign_on_completion")
-    hole = state.cell_of(task)
-    grid = [list(row) for row in state.occupancy]
-    relocations = _complete(grid, hole)
-    return state._after_slide(grid, hole, relocations), relocations
+    grid, log = [list(row) for row in state.occupancy], []
+    _slide(grid, state.cell_of(task), 1, log)
+    event = ReassignmentTrace._logged(state, Completion, [task], log, [len(log)]).events[0]
+    return event.state, event.relocations
 
 
 def reassignment_sequence(a0: HmtState, completions: Iterable[int]) -> ReassignmentTrace:
@@ -276,29 +282,24 @@ def reassignment_sequence(a0: HmtState, completions: Iterable[int]) -> Reassignm
     """
     _require_standard_normal(a0, "reassignment_sequence")
     completions = list(completions)
-    cells = a0.task_cells()
+    grid, log, ends = [list(row) for row in a0.occupancy], [], []
+    # Each task's offset (see ``jdt._slide``), kept up to date from the log.
+    where = {task: k for k, task in enumerate(chain.from_iterable(grid)) if task is not None}
     if len(set(completions)) != len(completions):
         raise DomainError("completion sequence repeats a task")
-    missing = [task for task in completions if not _is_task_id(task) or task not in cells]
+    missing = [task for task in completions if not _is_task_id(task) or task not in where]
     if missing:
         raise DomainError(f"completion of unassigned task {missing[0]!r}")
 
-    m = len(cells)
-    grid = [list(row) for row in a0.occupancy]
-    events: list[TraceEvent] = []
-    state = a0
-    for index, task in enumerate(completions):
-        if index < m - 1:
-            hole = cells.pop(task)
-            relocations = _complete(grid, hole)
-            for move in relocations:
-                cells[move.task] = move.dest
-            state = state._after_slide(grid, hole, relocations)
-            events.append(TraceEvent(Completion(task), relocations, state))
-        else:
-            # The last task's completion empties the workload but moves nothing.
-            events.append(TraceEvent(Completion(task), (), state, noop=True))
-    return ReassignmentTrace(a0, tuple(events))
+    cells = _cell_table(grid)
+    for task in completions[: len(where) - 1]:
+        start = len(log)
+        _slide(grid, cells[where.pop(task)], 1, log)
+        where.update(zip(log[start + 1 :: 2], log[start::2]))
+        ends.append(len(log))
+    # The last task's completion empties the workload but moves nothing: a no-op.
+    ends += [len(log)] * (len(completions) - len(ends))
+    return ReassignmentTrace._logged(a0, Completion, completions, log, ends)
 
 
 def rectify_assignment(a0: HmtState) -> ReassignmentTrace:
@@ -314,13 +315,9 @@ def rectify_assignment(a0: HmtState) -> ReassignmentTrace:
         raise DomainError("rectify_assignment needs a standard state")
 
     # Idle cells outside the embedded shape read as off-grid: slide on the mesh itself.
-    grid = [list(row) for row in a0.occupancy]
-    events: list[TraceEvent] = []
-    state = a0
-    for corner, moves in _rectify_slides(grid, shape.inner):
-        state = state._after_slide(grid, corner, moves)
-        events.append(TraceEvent(RectifyCorner(corner), tuple(moves), state))
-    return ReassignmentTrace(a0, tuple(events))
+    grid, log, ends = [list(row) for row in a0.occupancy], [], []
+    corners = _rectify_slides(grid, shape.inner, log, ends)
+    return ReassignmentTrace._logged(a0, RectifyCorner, corners, log, ends)
 
 
 def naive_slide_up(a0: HmtState) -> HmtState:
@@ -340,9 +337,7 @@ def reassignment_equivalent(s1: HmtState, s2: HmtState) -> bool:
     """True when greedy rectification ends both states in the same assignment."""
     if s1.shape != s2.shape:
         raise DomainError("states live on different processor grids")
-    final1 = rectify_assignment(s1).final
-    final2 = rectify_assignment(s2).final
-    return final1.occupancy == final2.occupancy
+    return rectify_assignment(s1).final.occupancy == rectify_assignment(s2).final.occupancy
 
 
 class TaskRun(NamedTuple):
@@ -382,9 +377,12 @@ def turnaround_sequential(
     if tasks.m != m:
         raise DomainError(f"need requirements for exactly {m} tasks, got {tasks.m}")
 
-    runs: list[TaskRun] = []
-    for task in range(1, m + 1):
+    # Stop once a sum outgrows what ``str`` prints (0: no limit); a digit is under 10/3 bits.
+    digits, total, runs = getattr(sys, "get_int_max_str_digits", int)(), Fraction(0), []
+    for task, requirement in enumerate(tasks.requirements, start=1):
         cell = Cell(1, 1) if relocate else cells[task]
-        runs.append(TaskRun(task, cell, tasks.requirement(task) / caps.rate(cell)))
-    total = sum((run.duration for run in runs), Fraction(0))
+        runs.append(TaskRun(task, cell, requirement / caps.rates[cell.row - 1][cell.col - 1]))
+        total += runs[-1].duration
+        if digits and max(total.numerator, total.denominator).bit_length() > digits * 10 // 3:
+            raise ResourceLimitError(f"a turnaround sum has over {digits} digits to print")
     return TurnaroundReport(total, tuple(runs))

@@ -8,6 +8,7 @@ Both, and the completion cascades of ``hms``, run on one trusting kernel.
 
 from __future__ import annotations
 
+from itertools import product, repeat
 from typing import Iterator, NamedTuple
 
 from .errors import DomainError
@@ -26,29 +27,68 @@ class Relocation(NamedTuple):
 Grid = list[list[int | None]]
 
 
-def _slide(grid: Grid, hole: Cell, step: int) -> list[Relocation]:
-    """Fill ``hole`` in place until no neighbour can move in; return the moves.
+def _slide(grid: Grid, hole: Cell, step: int, log: list[int]) -> Cell:
+    """Vacate ``hole`` and fill it in place until no neighbour can move in; return where it stopped.
 
     Empty and off-grid cells both read as ``None``.  With ``step=+1`` the
     smaller of the right/below entries moves in (a forward slide or completion
     cascade); with ``step=-1`` the larger of the left/above entries does.
+    ``log`` gets the hole's offset ``i * w + j`` (0-based, ``w`` the first
+    row's length), then each move's entry and source offset: a move's
+    destination is the offset logged just before its entry.
     """
-    i, j = hole.row - 1, hole.col - 1
-    moves: list[Relocation] = []
+    i, j, w = hole.row - 1, hole.col - 1, len(grid[0])
+    grid[i][j] = None
+    log.append(i * w + j)
     while True:
         row, i_down, j_across = grid[i], i + step, j + step
         across = row[j_across] if 0 <= j_across < len(row) else None
         down = grid[i_down][j] if 0 <= i_down < len(grid) and j < len(grid[i_down]) else None
         if across is None and down is None:
-            return moves
+            return Cell(i + 1, j + 1)
         # Entries are positive, so scaling by ``step = -1`` reverses their order.
         if down is None or (across is not None and across * step < down * step):
-            moved, j = across, j_across
+            row[j], row[j_across], j = across, None, j_across
+            log.append(across)
         else:
-            moved, i = down, i_down
-        row[hole.col - 1], grid[i][j] = moved, None  # ``row`` is still the hole's row
-        hole, dest = Cell(i + 1, j + 1), hole
-        moves.append(Relocation(moved, hole, dest))
+            row[j], grid[i_down][j], i = down, None, i_down
+            log.append(down)
+        log.append(i * w + j)
+
+
+_new = tuple.__new__  # a NamedTuple's own ``__new__`` adds a Python call per value
+
+
+def _cell_table(grid: Grid) -> list[Cell]:
+    """The cells of ``grid``'s bounding box, indexed by offset (see ``_slide``)."""
+    cols = range(1, max(map(len, grid), default=0) + 1)
+    return list(map(_new, repeat(Cell), product(range(1, len(grid) + 1), cols)))
+
+
+def _relocations(log: list[int], cells: list[Cell]) -> tuple[Relocation, ...]:
+    """The moves in one slide's ``log`` entries, with ``cells`` from ``_cell_table``."""
+    moves = range(1, len(log), 2)
+    return tuple([_new(Relocation, (log[k], cells[log[k + 1]], cells[log[k - 1]])) for k in moves])
+
+
+def _replay(rows: tuple, log: list[int], ends: list[int]) -> Iterator[tuple[list[int], tuple]]:
+    """Replay the slides logged up to each of ``ends`` over ``rows``, a tuple of row tuples.
+
+    Yields each slide's entries and the rows after it, which share every row
+    the slide did not rewrite; an empty slide (a trace's no-op) rewrites none.
+    """
+    grid, w, start = [list(row) for row in rows], max(map(len, rows), default=0), 0
+    for end in ends:
+        entries, start = log[start:end], end
+        if entries:
+            for k in range(1, len(entries), 2):
+                i, j = divmod(entries[k - 1], w)
+                grid[i][j] = entries[k]
+            i, j = divmod(entries[-1], w)
+            grid[i][j] = None
+            first, last = entries[0] // w, i + 1
+            rows = rows[:first] + tuple(map(tuple, grid[first:last])) + rows[last:]
+        yield entries, rows
 
 
 def _require_partial(p: Tableau) -> None:
@@ -63,14 +103,13 @@ def forward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[R
     if start not in inner_corners(p.shape.inner):
         raise DomainError(f"{start} is not an inner corner of {p.shape.inner.parts}")
 
-    grid = [list(row) for row in p.rows]
-    moves = _slide(grid, start, 1)
-    vacated = moves[-1].source if moves else start
+    grid, log = [list(row) for row in p.rows], []
+    vacated = _slide(grid, start, 1, log)
     grid[vacated.row - 1].pop()  # an inner corner of the outer shape ends its row
     if not grid[-1]:
         grid.pop()
     shape = SkewShape(p.shape.outer.remove_corner(vacated), p.shape.inner.remove_corner(start))
-    return Tableau(shape, grid), vacated, tuple(moves)
+    return Tableau(shape, grid), vacated, _relocations(log, _cell_table(p.rows))
 
 
 def backward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[Relocation, ...]]:
@@ -80,28 +119,31 @@ def backward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[
     if start not in outer_corners(p.shape.outer):
         raise DomainError(f"{start} is not an outer corner of {p.shape.outer.parts}")
 
-    grid = [list(row) for row in p.rows]
+    grid, log = [list(row) for row in p.rows], []
     if start.row > len(grid):
         grid.append([])
     grid[start.row - 1].append(None)
-    moves = _slide(grid, start, -1)
-    vacated = moves[-1].source if moves else start
+    vacated = _slide(grid, start, -1, log)
     shape = SkewShape(p.shape.outer.add_corner(start), p.shape.inner.add_corner(vacated))
-    return Tableau(shape, grid), vacated, tuple(moves)
+    return Tableau(shape, grid), vacated, _relocations(log, _cell_table(grid))
 
 
-def _rectify_slides(grid: Grid, inner: Partition) -> Iterator[tuple[Cell, list[Relocation]]]:
-    """Forward-slide ``grid`` in place until ``inner`` is empty; yield each corner and its moves.
+def _rectify_slides(grid: Grid, inner: Partition, log: list[int], ends: list[int]) -> list[Cell]:
+    """Forward-slide ``grid`` in place until ``inner`` is empty; return the corners opened.
 
     Each slide opens the first (smallest row, then column) inner corner: the
     rectified result is the same whatever order the corners are opened in, so
     one fixed order keeps traces stable.  Empty cells outside ``inner`` act as
-    outside the shape, so vacated cells stay as ``None``.
+    outside the shape, so vacated cells stay as ``None``.  Each slide goes to
+    ``log`` (see ``_slide``), and then the log's length to ``ends``.
     """
+    corners = []
     while inner.parts:
-        corner = inner_corners(inner)[0]
-        yield corner, _slide(grid, corner, 1)
-        inner = inner.remove_corner(corner)
+        corners.append(inner_corners(inner)[0])
+        _slide(grid, corners[-1], 1, log)
+        ends.append(len(log))
+        inner = inner.remove_corner(corners[-1])
+    return corners
 
 
 def rectify(p: Tableau) -> Tableau:
@@ -113,8 +155,7 @@ def rectify(p: Tableau) -> Tableau:
         return p
     _require_partial(p)
     grid = [list(row) for row in p.rows]
-    for _ in _rectify_slides(grid, p.shape.inner):
-        pass
+    _rectify_slides(grid, p.shape.inner, [], [])
     rows = [[entry for entry in row if entry is not None] for row in grid]
     return Tableau.normal([row for row in rows if row])
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .hms import (
     CapacityGrid,
     Completion,
@@ -23,7 +24,7 @@ from .hms import (
     TaskSet,
     TraceEvent,
 )
-from .jdt import Relocation
+from .jdt import Relocation, _cell_table, _replay
 from .partitions import Cell, Partition, SkewShape
 from .rsk import Permutation
 from .tableaux import Tableau
@@ -53,7 +54,11 @@ def _expect_object(value: Any, what: str) -> dict:
 
 
 def encode_fraction(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:  # past ``sys.get_int_max_str_digits()`` digits
+        limit = sys.get_int_max_str_digits()
+        raise ResourceLimitError(f"an exact result has over {limit} digits to print") from exc
 
 
 def decode_fraction(value: Any) -> Fraction:
@@ -192,36 +197,21 @@ def decode_task_set(obj: Any) -> TaskSet:
     return TaskSet(tuple(by_id[task] for task in ids))
 
 
-def encode_relocation(move: Relocation) -> dict:
-    return {
-        "task": move.task,
-        "from": encode_cell(move.source),
-        "to": encode_cell(move.dest),
-    }
-
-
-def encode_trigger(trigger: Completion | RectifyCorner) -> dict:
-    if isinstance(trigger, Completion):
-        return {"completed": trigger.task}
-    return {"rectify_corner": encode_cell(trigger.corner)}
-
-
-def encode_trace_event(event: TraceEvent) -> dict:
-    obj: dict[str, Any] = {
-        "trigger": encode_trigger(event.trigger),
-        "relocations": [encode_relocation(move) for move in event.relocations],
-        "state": encode_hmt_state(event.state),
-    }
-    if event.noop:
-        obj["noop"] = True
-    return obj
-
-
 def encode_trace(trace: ReassignmentTrace) -> dict:
-    return {
-        "initial": encode_hmt_state(trace.initial),
-        "events": [encode_trace_event(event) for event in trace.events],
-    }
+    events = []
+    for event in trace.events:
+        trigger = event.trigger
+        events.append({
+            "trigger": {"completed": trigger.task} if isinstance(trigger, Completion)
+            else {"rectify_corner": encode_cell(trigger.corner)},
+            "relocations": [
+                {"task": move.task, "from": encode_cell(move.source), "to": encode_cell(move.dest)}
+                for move in event.relocations
+            ],
+            "state": encode_hmt_state(event.state),
+            **({"noop": True} if event.noop else {}),
+        })
+    return {"initial": encode_hmt_state(trace.initial), "events": events}
 
 
 def decode_trace(obj: Any) -> ReassignmentTrace:
@@ -238,25 +228,22 @@ def decode_trace(obj: Any) -> ReassignmentTrace:
             trigger = RectifyCorner(decode_cell(trigger_obj["rectify_corner"]))
         else:
             raise DomainError(f"unknown trigger {trigger_obj!r}")
-        relocations = tuple(
-            Relocation(
-                _expect_int(_expect_object(move, "relocation").get("task"), "task"),
-                decode_cell(_expect_object(move, "relocation").get("from")),
-                decode_cell(_expect_object(move, "relocation").get("to")),
-            )
-            for move in _expect_list(entry.get("relocations", []), "relocations")
-        )
+        moves = []
+        for item in _expect_list(entry.get("relocations", []), "relocations"):
+            move = _expect_object(item, "relocation")
+            task, source = _expect_int(move.get("task"), "task"), decode_cell(move.get("from"))
+            moves.append(Relocation(task, source, decode_cell(move.get("to"))))
         noop = entry.get("noop", False)
         if not isinstance(noop, bool):
             raise DomainError(f"noop must be true or false, got {noop!r}")
-        events.append(TraceEvent(trigger, relocations, decode_hmt_state(entry.get("state")), noop))
+        events.append(TraceEvent(trigger, tuple(moves), decode_hmt_state(entry.get("state")), noop))
     return ReassignmentTrace(initial, tuple(events))
 
 
 # --- the trace writer ------------------------------------------------------
 #
 # ``json.dumps(..., indent=2)`` always runs the pure-Python encoder.  The
-# writer below renders a trace's text straight from its objects, as that
+# writer below renders a trace's text straight from its move log, as that
 # encoder would render ``encode_trace``'s dict tree: every array and object
 # element on its own line, two spaces deeper than its bracket, keys sorted.
 # Each helper takes the indent of the line its value starts on.
@@ -281,79 +268,62 @@ def _object(fields: Sequence[tuple[str, str]], indent: int) -> str:
 _RELOCATION = _object(
     (("from", _array(("%d", "%d"), 10)), ("task", "%d"), ("to", _array(("%d", "%d"), 10))), 8
 )
+_TRIGGER = {
+    Completion: _object((("completed", "%d"),), 6),
+    RectifyCorner: _object((("rectify_corner", _array(("%d", "%d"), 8)),), 6),
+}
 
 
-def _state_writer(indent: int) -> Callable[[HmtState], str]:
-    """Render states at ``indent`` as ``encode_hmt_state`` would be; one writer per trace depth.
-
-    A row that ``is`` the row at the same index of the state rendered just
-    before reuses that row's text, and a state whose shape and capacities are
-    the previous state's objects reuses their text.  The writer holds the
-    previous state, so no object it compares against can have been freed.
-    """
-    row_pad = indent + 4
-    previous: HmtState | None = None
-    row_texts: list[str] = []
-    head = tail = ""
-
-    def render(state: HmtState) -> str:
-        nonlocal previous, row_texts, head, tail
-        if previous is None or previous.shape is not state.shape or (
-            previous.capacities is not state.capacities
-        ):
-            fields = [("cells", "\0")]  # JSON text never holds a raw NUL: it marks the cells
-            if state.capacities is not None:
-                rates = [
-                    _array([json.dumps(encode_fraction(rate)) for rate in row], row_pad)
-                    for row in state.capacities.rates
-                ]
-                fields.insert(0, ("capacities", _array(rates, indent + 2)))
-            fields.append(("shape", _array([str(part) for part in state.shape.parts], indent + 2)))
-            head, _, tail = _object(fields, indent).partition("\0")
-        old_rows = previous.occupancy if previous is not None else ()
-        old_texts = row_texts
-        row_texts = [
-            old_texts[k]
-            if k < len(old_rows) and row is old_rows[k]
-            else _array(["null" if task is None else str(task) for task in row], row_pad)
-            for k, row in enumerate(state.occupancy)
+def _state_frame(state: HmtState, indent: int) -> list[str]:
+    """The text of ``state`` at ``indent`` before and after its rows; the rows' text joins them."""
+    fields = [("cells", "\0")]  # JSON text never holds a raw NUL: it marks the cells
+    if state.capacities is not None:
+        rates = [
+            _array([json.dumps(encode_fraction(rate)) for rate in row], indent + 4)
+            for row in state.capacities.rates
         ]
-        previous = state
-        return head + _array(row_texts, indent + 2) + tail
+        fields.insert(0, ("capacities", _array(rates, indent + 2)))
+    fields.append(("shape", _array([str(part) for part in state.shape.parts], indent + 2)))
+    return _object(fields, indent).split("\0")
 
-    return render
 
-
-def _trigger_text(trigger: Completion | RectifyCorner) -> str:
-    if isinstance(trigger, Completion):
-        return _object((("completed", str(trigger.task)),), 6)
-    corner = _array((str(trigger.corner.row), str(trigger.corner.col)), 8)
-    return _object((("rectify_corner", corner),), 6)
+def _row_text(row: Sequence[int | None], indent: int) -> str:
+    return _array(["null" if task is None else str(task) for task in row], indent)
 
 
 def write_trace(trace: ReassignmentTrace, write: Callable[[str], object]) -> None:
     """Write ``canonical_dumps(encode_trace(trace))`` through ``write``, one call per event.
 
-    The text is rendered directly from the trace, with no dict tree.  Rows
-    that successive snapshots share (see ``hms.HmtState._after_slide``) are
-    rendered once; beyond the trace, memory holds one event's text and one
-    state's row texts.
+    A trace the library built is rendered from its move log (``jdt._replay``),
+    with new text only for the rows an event rewrote and no snapshot or
+    relocation built.  One built from events, as ``decode_trace``'s are, is
+    encoded whole and written in one call.
     """
-    render_state = _state_writer(6)
+    if trace._log is None:
+        write(canonical_dumps(encode_trace(trace)))
+        return
+    a0, trigger = trace.initial, _TRIGGER[trace._kind]
+    cells, rows = _cell_table(a0.occupancy), a0.occupancy
+    frame = _state_frame(a0, 6)
+    texts = [_row_text(row, 10) for row in rows]
     separator = '{\n  "events": [\n    '
-    for event in trace.events:
-        moves = [_RELOCATION % (*move.source, move.task, *move.dest) for move in event.relocations]
+    for arg, (log, after) in zip(trace._args, _replay(rows, trace._log, trace._ends)):
+        texts = [t if row is old else _row_text(row, 10) for t, old, row in zip(texts, rows, after)]
+        rows = after
+        moves = [_RELOCATION % (*cells[log[k + 1]], log[k], *cells[log[k - 1]])
+                 for k in range(1, len(log), 2)]
         fields = [
             ("relocations", _array(moves, 6)),
-            ("state", render_state(event.state)),
-            ("trigger", _trigger_text(event.trigger)),
+            ("state", _array(texts, 8).join(frame)),
+            ("trigger", trigger % arg),
         ]
-        if event.noop:
+        if not log:
             fields.insert(0, ("noop", "true"))
         write(separator + _object(fields, 4))
         separator = ",\n    "
-    events_end = '{\n  "events": []' if not trace.events else "\n  ]"
-    write(events_end + ',\n  "initial": ' + _state_writer(2)(trace.initial) + "\n}\n")
+    initial = _array([_row_text(row, 6) for row in a0.occupancy], 4).join(_state_frame(a0, 2))
+    events_end = '{\n  "events": []' if not trace._ends else "\n  ]"
+    write(events_end + ',\n  "initial": ' + initial + "\n}\n")
 
 
 def encode_slide_steps(moves: Sequence[Relocation]) -> list[dict]:

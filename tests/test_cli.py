@@ -4,9 +4,17 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from random import Random
+
+import oracles
+import pytest
 
 from taquin import figures
 from taquin.cli import MAX_RSK_N, MAX_TURNAROUND_CELLS, main
+from taquin.hms import HmtState
+from taquin.jsonio import canonical_dumps, encode_hmt_state, encode_trace
+from taquin.partitions import Partition, SkewShape
+from taquin.randgen import random_standard_filling, random_subpartition
 
 STATES = Path(figures.__file__).parent / "fixtures" / "states"
 
@@ -420,3 +428,53 @@ def test_simulate_and_rectify_reject_one_row_meshes_over_the_trace_bound(capsys,
     assert_bounded_input_error(capsys, "simulate", "--state", full, "--completions", completions)
     skew = write(tmp_path, "skew.json", {"shape": [k], "cells": [[None] + list(range(1, k))]})
     assert_bounded_input_error(capsys, "rectify", "--state", skew)
+
+
+def digit_requirements(tmp_path, rng, tasks: int, digits: int):
+    """A full 1 x ``tasks`` mesh and requirements 1/d, each d a random ``digits``-digit integer."""
+    if getattr(sys, "get_int_max_str_digits", int)() != 4300:
+        pytest.skip("sized for Python's default limit of 4300 printable digits")
+    state = write(tmp_path, "s.json", {"shape": [tasks], "cells": [list(range(1, tasks + 1))]})
+    reqs = {
+        str(task): f"1/{rng.randrange(10 ** (digits - 1), 10**digits)}"
+        for task in range(1, tasks + 1)
+    }
+    return state, write(tmp_path, "r.json", reqs)
+
+
+def test_turnaround_past_the_printable_digits_is_input_error(capsys, tmp_path):
+    # Each input prints, but the sums' denominators have about 4400 digits.
+    state, reqs = digit_requirements(tmp_path, Random(2), 2, 2200)
+    for mode in ("--compare", "--relocate", "--no-relocate"):
+        assert_bounded_input_error(capsys, "turnaround", mode, "--state", state, "--requirements", reqs)
+
+
+def test_turnaround_sums_stop_at_the_printable_digits(capsys, tmp_path):
+    # Summed to the end, 512 terms of 4000 digits each take minutes.
+    state, reqs = digit_requirements(tmp_path, Random(3), 512, 4000)
+    assert_bounded_input_error(capsys, "turnaround", "--state", state, "--requirements", reqs)
+
+
+def test_trace_bytes_at_the_trace_bound_match_the_oracle(capsys, tmp_path):
+    """The largest traces the bound admits print as the snapshot oracle's encoded trace.
+
+    Full 32 x 32 meshes completed in priority order (the largest trace, ~25 MB)
+    and in a random order, and a 32 x 32 skew state rectified.
+    """
+    mesh = Partition((32,) * 32)
+    rng = Random(32)
+    full = HmtState(mesh, random_standard_filling(rng, SkewShape(mesh)).rows)
+    skew = SkewShape(mesh, random_subpartition(rng, mesh))
+    skew = HmtState(mesh, random_standard_filling(rng, skew).rows)
+    cases = [(skew, ["rectify"], oracles.rectify_assignment(skew))]
+    for order in (list(range(1, mesh.n + 1)), rng.sample(range(1, mesh.n + 1), mesh.n)):
+        oracle = oracles.reassignment_sequence(full, order)
+        cases.append((full, ["simulate", "--completions", ",".join(map(str, order))], oracle))
+    for state, argv, oracle in cases:
+        trace_file = tmp_path / "trace.json"
+        path = write(tmp_path, "s.json", encode_hmt_state(state))
+        code, out, err = run(capsys, *argv, "--state", path, "--trace", str(trace_file))
+        expected = canonical_dumps(encode_trace(oracle))
+        assert (code, err) == (0, "")
+        assert out == expected
+        assert trace_file.read_text(encoding="utf-8") == expected

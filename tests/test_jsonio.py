@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taquin import figures
-from taquin.errors import DomainError
+from taquin.errors import DomainError, ResourceLimitError
 from taquin.hms import (
     HmtState,
     default_capacity_grid,
@@ -134,6 +135,18 @@ def test_task_set_roundtrip():
 def test_task_set_rejects_non_canonical_keys(data):
     with pytest.raises(DomainError):
         decode_task_set(data)
+
+
+def test_encode_fraction_refuses_exactly_what_cannot_print():
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if not limit:
+        pytest.skip("this Python prints integers of any length")
+    widest = 10**limit - 1
+    assert encode_fraction(Fraction(widest, 7)) == f"{widest}/7"
+    assert encode_fraction(Fraction(7, widest)) == f"7/{widest}"
+    for value in (Fraction(10**limit, 7), Fraction(7, 10**limit)):
+        with pytest.raises(ResourceLimitError, match=f"over {limit} digits"):
+            encode_fraction(value)
 
 
 def test_trace_roundtrip():

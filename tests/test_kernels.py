@@ -10,6 +10,8 @@ random draws, same error messages.
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from random import Random
 
 import oracles
@@ -30,6 +32,7 @@ from taquin.randgen import (
     random_hierarchical_capacities,
     random_requirements,
     random_standard_filling,
+    random_subpartition,
 )
 from taquin.rsk import Permutation, rsk, rsk_inverse
 from taquin.tableaux import Tableau, is_partial, reverse_bump, row_insert
@@ -262,3 +265,66 @@ def meshes_holding_a_filling(draw) -> HmtState:
 @given(st.one_of(any_occupancy(), meshes_holding_a_filling()))
 def test_maximally_embedded_matches_oracle(state):
     assert outcome(hms.maximally_embedded, state) == outcome(oracles.maximally_embedded, state)
+
+
+@st.composite
+def logged_traces(draw):
+    """A library trace, its snapshot-per-event oracle, and the cell each of its events opened.
+
+    Completions (full, prefix or empty orders; a full one ends in a no-op)
+    on full or partly filled normal meshes, or rectifications of skew ones,
+    up to 12 x 12, with capacities or without.
+    """
+    rng = Random(draw(SEEDS))
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    mesh = Partition((cols,) * rows)
+    outer = mesh if draw(st.booleans()) else draw(partitions_in_box(rows, cols, min_cells=1))
+    kind = draw(st.sampled_from(["full", "prefix", "empty", "rectify"]))
+    inner = random_subpartition(rng, outer) if kind == "rectify" else Partition()
+    a0 = embed(random_standard_filling(rng, SkewShape(outer, inner)), rows, cols)
+    if draw(st.booleans()):
+        a0 = with_capacities(a0, rng)
+    if kind == "rectify":
+        trace = hms.rectify_assignment(a0)
+        return trace, oracles.rectify_assignment(a0), [e.trigger.corner for e in trace.events]
+    order = rng.sample(range(1, a0.task_count + 1), a0.task_count)
+    order = order[: {"full": len(order), "prefix": rng.randrange(len(order)), "empty": 0}[kind]]
+    trace = hms.reassignment_sequence(a0, order)
+    oracle = oracles.reassignment_sequence(a0, order)
+    befores = [a0] + [event.state for event in oracle.events]
+    return trace, oracle, [s.cell_of(e.trigger.task) for s, e in zip(befores, oracle.events)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(logged_traces())
+def test_replayed_traces_match_the_snapshot_oracle(case):
+    trace, oracle, holes = case
+    assert trace == oracle
+    assert trace.states == oracle.states and trace.final == oracle.final
+    events = trace.events
+    assert trace.events is events and all(a is b for a, b in zip(trace.events, events))
+    # A replayed state shares, as the same object, every row its event did not touch.
+    before = trace.initial
+    for event, hole in zip(events, holes, strict=True):
+        touched = {hole.row} | {cell.row for m in event.relocations for cell in (m.source, m.dest)}
+        for row, (old, new) in enumerate(zip(before.occupancy, event.state.occupancy), start=1):
+            assert row in touched or new is old
+        assert not event.noop or event.state is before
+        before = event.state
+
+
+def test_building_a_trace_holds_few_bytes_per_relocation():
+    """A 40 x 40 mesh in priority order: 62,400 relocations, kept as a move log, not objects."""
+    mesh = Partition((40,) * 40)
+    a0 = HmtState(mesh, random_standard_filling(Random(40), SkewShape(mesh)).rows)
+    order = list(range(1, mesh.n + 1))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trace = hms.reassignment_sequence(a0, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    relocations = sum(len(event.relocations) for event in trace.events)
+    assert relocations == 62400
+    assert peak < 64 * relocations
