@@ -53,7 +53,7 @@ DEFAULT_SEED = 1729
 SEED_ENV_VAR = "TAQUIN_SEED"
 MAX_COUNT_CELLS = 2000  # f <= sqrt(n!) then prints within the 4300-digit int-to-str limit
 MAX_IDENTITY_N = 40  # the check walks all p(n) shapes: ~2 s at n=40, ~12 s at n=50
-MAX_RANDOM_TRIALS = 10000  # about 0.55 ms a trial, so about 6 s
+MAX_RANDOM_TRIALS = 10000  # about 0.12 ms a trial, so about 1.3 s
 MAX_RSK_N = 5000  # a decreasing word bumps n^2/2 times: ~1.3 s at n=5000, either direction
 MAX_TURNAROUND_CELLS = 1024  # bounds the exact rational sums, one term per task
 # A trace's text holds one full state per event, and each cascade makes fewer

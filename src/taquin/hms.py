@@ -13,14 +13,15 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain
+from itertools import chain, count
+from math import gcd
+from operator import lt, truediv
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError, InvalidStateError, ResourceLimitError, ShapeError
 from .jdt import Relocation, _cell_table, _rectify_slides, _relocations, _replay, _slide
 from .partitions import Cell, Partition, SkewShape, _skew_shape_of_rows
-from .tableaux import ShapeKind, Tableau, _at, _cells, _descents, is_partial
+from .tableaux import ShapeKind, Tableau, _cells, _descents, is_partial
 
 
 class StateKind(Enum):
@@ -59,11 +60,6 @@ class CapacityGrid:
                 if i and rates[i - 1][j] <= rate:
                     raise DomainError(f"capacities must strictly decrease down column {j + 1}")
 
-    def rate(self, cell: Cell) -> Fraction:
-        if not self.shape.contains_cell(Cell(*cell)):
-            raise DomainError(f"no processor at {tuple(cell)}")
-        return self.rates[cell[0] - 1][cell[1] - 1]
-
 
 def default_capacity_grid(shape: Partition) -> CapacityGrid:
     """Capacities 2^-(i+j-2): an admissible hierarchy for when none is supplied."""
@@ -90,11 +86,6 @@ class TaskSet:
     @property
     def m(self) -> int:
         return len(self.requirements)
-
-    def requirement(self, task: int) -> Fraction:
-        if not 1 <= task <= self.m:
-            raise DomainError(f"no requirement for task {task}")
-        return self.requirements[task - 1]
 
 
 @dataclass(frozen=True)
@@ -143,10 +134,6 @@ class HmtState:
     @property
     def task_count(self) -> int:
         return sum(1 for row in self.occupancy for task in row if task is not None)
-
-    def get(self, i: int, j: int) -> int | None:
-        """Task at 1-based (i, j); None when idle or outside the grid."""
-        return _at(self.occupancy, i, j)
 
     def task_cells(self) -> dict[int, Cell]:
         return {task: cell for cell, task in _cells(self.occupancy)}
@@ -219,7 +206,7 @@ class ReassignmentTrace:
     """An initial state and its events; the library's traces replay theirs from a move log."""
 
     def __init__(self, initial: HmtState, events: Iterable[TraceEvent]) -> None:
-        self.initial, self.events, self._log = initial, tuple(events), None
+        vars(self).update(initial=initial, events=tuple(events), _log=None)
 
     @classmethod
     def _logged(cls, initial: HmtState, kind: type, args: list, log: list[int], ends: list[int]):
@@ -228,14 +215,17 @@ class ReassignmentTrace:
         vars(trace).update(initial=initial, _kind=kind, _args=args, _log=log, _ends=ends)
         return trace
 
-    @cached_property
+    @property
     def events(self) -> tuple[TraceEvent, ...]:
+        # Not ``cached_property``, which takes no lock since Python 3.12: the first tuple stored wins.
+        if "events" in vars(self):
+            return vars(self)["events"]
         a0, state, events = self.initial, self.initial, []
         cells = _cell_table(a0.occupancy)
         for arg, (log, rows) in zip(self._args, _replay(a0.occupancy, self._log, self._ends)):
             state = a0._snapshot(rows) if log else state
             events.append(TraceEvent(self._kind(arg), _relocations(log, cells), state, not log))
-        return tuple(events)
+        return vars(self).setdefault("events", tuple(events))
 
     @property
     def states(self) -> tuple[HmtState, ...]:
@@ -252,6 +242,18 @@ class ReassignmentTrace:
 
 
 def _require_standard_normal(state: HmtState, op: str) -> None:
+    # One pass: each row a filled prefix no longer than the one above, entries increasing
+    # along rows and down columns.  Only a state that fails is classified, for its error.
+    above = [0] * max(state.shape.parts, default=0)
+    for row in state.occupancy:
+        n = len(row) if all(row) else row.index(None)  # task IDs are positive
+        filled = row[:n]
+        increasing = all(map(lt, filled, filled[1:])) and all(map(lt, above, filled))
+        if any(row[n:]) or n > len(above) or not increasing:
+            break
+        above = filled
+    else:
+        return
     kind, form = classify_state(state)
     if kind is not StateKind.STANDARD or form is not ShapeKind.NORMAL:
         raise DomainError(f"{op} needs a standard state of normal shape")
@@ -353,6 +355,13 @@ class TurnaroundReport:
     total: Fraction
     per_task: tuple[TaskRun, ...]
 
+    def __getattr__(self, name: str) -> tuple[TaskRun, ...]:
+        # Only a library report lacks ``per_task``: built on first read and stored as
+        # ``ReassignmentTrace.events`` is, so every thread reads the first tuple stored.
+        if name != "per_task" or "_runs" not in vars(self):
+            raise AttributeError(name)
+        return vars(self).setdefault("per_task", self._runs())
+
 
 def turnaround_sequential(
     a0: HmtState,
@@ -370,19 +379,35 @@ def turnaround_sequential(
     if caps.shape != a0.shape:
         raise DomainError("capacity grid shape differs from state shape")
     _require_standard_normal(a0, "turnaround_sequential")
-    cells = a0.task_cells()
-    m = len(cells)
-    if sorted(cells) != list(range(1, m + 1)):
+    rows = zip(a0.occupancy, caps.rates)
+    rate_of = {task: rate for row, rates in rows for task, rate in zip(row, rates) if task}
+    m = len(rate_of)
+    if max(rate_of, default=0) != m:  # m distinct positive IDs are 1..m when m is the largest
         raise DomainError("assigned tasks must be exactly 1..m")
     if tasks.m != m:
         raise DomainError(f"need requirements for exactly {m} tasks, got {tasks.m}")
+    # With relocation every task starts on (1,1), where a standard normal state holds task 1.
+    starts = [1] * m if relocate else range(1, m + 1)
+    rates = [rate_of[start] for start in starts]
 
-    # Stop once a sum outgrows what ``str`` prints (0: no limit); a digit is under 10/3 bits.
-    digits, total, runs = getattr(sys, "get_int_max_str_digits", int)(), Fraction(0), []
-    for task, requirement in enumerate(tasks.requirements, start=1):
-        cell = Cell(1, 1) if relocate else cells[task]
-        runs.append(TaskRun(task, cell, requirement / caps.rates[cell.row - 1][cell.col - 1]))
-        total += runs[-1].duration
-        if digits and max(total.numerator, total.denominator).bit_length() > digits * 10 // 3:
-            raise ResourceLimitError(f"a turnaround sum has over {digits} digits to print")
-    return TurnaroundReport(total, tuple(runs))
+    # Requirement a/b on rate c/d adds a*d / (b*c) over the lcm of the terms'
+    # denominators so far.  A reduced partial sum's denominator divides that
+    # lcm, so reducing only once a part passes what ``str`` prints (a digit is
+    # under 10/3 bits; 0: no limit) stops on exactly the sums that pass it.
+    digits, num, den = getattr(sys, "get_int_max_str_digits", int)(), 0, 1
+    for requirement, rate in zip(tasks.requirements, rates):
+        p, q = requirement.numerator * rate.denominator, requirement.denominator * rate.numerator
+        g = gcd(den, q)
+        num, den = num * (q // g) + p * (den // g), den * (q // g)
+        if digits and max(num, den).bit_length() > digits * 10 // 3:
+            num, den = Fraction(num, den).as_integer_ratio()
+            if max(num, den).bit_length() > digits * 10 // 3:
+                raise ResourceLimitError(f"a turnaround sum has over {digits} digits to print")
+
+    def runs() -> tuple[TaskRun, ...]:
+        durations = map(truediv, tasks.requirements, rates)
+        return tuple(map(TaskRun, count(1), map(a0.task_cells().get, starts), durations))
+
+    report = object.__new__(TurnaroundReport)  # its ``per_task`` is built when first read
+    vars(report).update(total=Fraction(num, den), _runs=runs)
+    return report

@@ -22,7 +22,6 @@ from .hms import (
     ReassignmentTrace,
     RectifyCorner,
     TaskSet,
-    TraceEvent,
 )
 from .jdt import Relocation, _cell_table, _replay
 from .partitions import Cell, Partition, SkewShape
@@ -88,13 +87,6 @@ def encode_skew_shape(shape: SkewShape) -> dict:
 
 def encode_cell(cell: Cell) -> list[int]:
     return [cell.row, cell.col]
-
-
-def decode_cell(obj: Any) -> Cell:
-    pair = _expect_list(obj, "cell")
-    if len(pair) != 2:
-        raise DomainError(f"cell must be [row, col], got {obj!r}")
-    return Cell(_expect_int(pair[0], "row"), _expect_int(pair[1], "col"))
 
 
 def _decode_grid(
@@ -214,32 +206,6 @@ def encode_trace(trace: ReassignmentTrace) -> dict:
     return {"initial": encode_hmt_state(trace.initial), "events": events}
 
 
-def decode_trace(obj: Any) -> ReassignmentTrace:
-    data = _expect_object(obj, "trace")
-    initial = decode_hmt_state(data.get("initial"))
-    events = []
-    for raw in _expect_list(data.get("events", []), "events"):
-        entry = _expect_object(raw, "event")
-        trigger_obj = _expect_object(entry.get("trigger"), "trigger")
-        trigger: Completion | RectifyCorner
-        if "completed" in trigger_obj:
-            trigger = Completion(_expect_int(trigger_obj["completed"], "completed task"))
-        elif "rectify_corner" in trigger_obj:
-            trigger = RectifyCorner(decode_cell(trigger_obj["rectify_corner"]))
-        else:
-            raise DomainError(f"unknown trigger {trigger_obj!r}")
-        moves = []
-        for item in _expect_list(entry.get("relocations", []), "relocations"):
-            move = _expect_object(item, "relocation")
-            task, source = _expect_int(move.get("task"), "task"), decode_cell(move.get("from"))
-            moves.append(Relocation(task, source, decode_cell(move.get("to"))))
-        noop = entry.get("noop", False)
-        if not isinstance(noop, bool):
-            raise DomainError(f"noop must be true or false, got {noop!r}")
-        events.append(TraceEvent(trigger, tuple(moves), decode_hmt_state(entry.get("state")), noop))
-    return ReassignmentTrace(initial, tuple(events))
-
-
 # --- the trace writer ------------------------------------------------------
 #
 # ``json.dumps(..., indent=2)`` always runs the pure-Python encoder.  The
@@ -296,8 +262,8 @@ def write_trace(trace: ReassignmentTrace, write: Callable[[str], object]) -> Non
 
     A trace the library built is rendered from its move log (``jdt._replay``),
     with new text only for the rows an event rewrote and no snapshot or
-    relocation built.  One built from events, as ``decode_trace``'s are, is
-    encoded whole and written in one call.
+    relocation built.  One built from its events, as the test oracles' are,
+    is encoded whole and written in one call.
     """
     if trace._log is None:
         write(canonical_dumps(encode_trace(trace)))

@@ -66,15 +66,6 @@ class Partition:
             o <= s for o, s in zip(other.parts, self.parts)
         )
 
-    def contains_cell(self, cell: Cell) -> bool:
-        return 1 <= cell.row <= len(self.parts) and 1 <= cell.col <= self.parts[cell.row - 1]
-
-    def cells(self) -> Iterator[Cell]:
-        """All cells in row-major order."""
-        for i, length in enumerate(self.parts, start=1):
-            for j in range(1, length + 1):
-                yield Cell(i, j)
-
     def remove_corner(self, cell: Cell) -> Partition:
         """Remove an inner corner, yielding the smaller partition."""
         if cell not in inner_corners(self):
@@ -122,12 +113,6 @@ class SkewShape:
     @property
     def size(self) -> int:
         return self.outer.n - self.inner.n
-
-    def cells(self) -> Iterator[Cell]:
-        """All cells in row-major order."""
-        for i, length in enumerate(self.outer.parts, start=1):
-            for j in range(self.inner.row_len(i) + 1, length + 1):
-                yield Cell(i, j)
 
 
 def hook_lengths(shape: Partition) -> tuple[tuple[int, ...], ...]:

@@ -112,10 +112,6 @@ class Tableau:
     def entries(self) -> frozenset[int]:
         return frozenset(e for row in self.rows for e in row if e is not None)
 
-    def get(self, i: int, j: int) -> int | None:
-        """Entry at 1-based (i, j); None outside the grid or on an empty cell."""
-        return _at(self.rows, i, j)
-
     def to_cell_map(self) -> dict[Cell, int]:
         return dict(_cells(self.rows))
 

@@ -20,6 +20,16 @@ def all_permutations(n: int) -> list[Permutation]:
     return [Permutation(word) for word in permutations(range(1, n + 1))]
 
 
+def shape_cells(shape: Partition | SkewShape) -> list[Cell]:
+    """All cells of a partition or skew shape, in row-major order."""
+    outer, inner = (shape, Partition()) if isinstance(shape, Partition) else (shape.outer, shape.inner)
+    return [
+        Cell(i, j)
+        for i, length in enumerate(outer.parts, start=1)
+        for j in range(inner.row_len(i) + 1, length + 1)
+    ]
+
+
 def subpartitions(outer: Partition) -> Iterator[Partition]:
     """Every partition contained in ``outer`` (including the empty one and outer itself)."""
 
@@ -46,7 +56,7 @@ def enumerate_skew_fillings(shape: SkewShape) -> Iterator[Tableau]:
     Values 1..size are placed, in turn, on any cell whose left/above neighbours
     inside the shape are already filled, trying those cells in row-major order.
     """
-    cells = list(shape.cells())
+    cells = shape_cells(shape)
     remaining = set(cells)
     entries: dict[Cell, int] = {}
 

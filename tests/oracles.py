@@ -12,12 +12,14 @@ of insertion tableaux.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
 from random import Random
 from typing import Callable, Iterable, Sequence
 
+from conftest import shape_cells
 from taquin.errors import DomainError, InvalidStateError, ResourceLimitError, ShapeError
 from taquin.hms import (
     CapacityGrid,
@@ -35,7 +37,7 @@ from taquin.hms import (
 )
 from taquin.partitions import Cell, Partition, SkewShape, inner_corners, outer_corners
 from taquin.rsk import Permutation
-from taquin.tableaux import ShapeKind, Tableau, _cells, is_standard
+from taquin.tableaux import ShapeKind, Tableau, _at, _cells, is_standard
 
 # The library always opens the first inner corner; the oracles still take any order.
 SlidePolicy = Callable[[Sequence[Cell]], Cell]
@@ -52,8 +54,8 @@ def is_partial(t: Tableau) -> bool:
         for j, entry in enumerate(row, start=1):
             if entry is None:
                 continue
-            right = t.get(i, j + 1)
-            below = t.get(i + 1, j)
+            right = _at(t.rows, i, j + 1)
+            below = _at(t.rows, i + 1, j)
             if right is not None and right <= entry:
                 return False
             if below is not None and below <= entry:
@@ -70,10 +72,10 @@ def descent_pairs(state: HmtState) -> tuple[tuple[Cell, Cell], ...]:
     pairs: list[tuple[Cell, Cell]] = []
     for cell, task in _cells(state.occupancy):
         i, j = cell
-        right = state.get(i, j + 1)
+        right = _at(state.occupancy, i, j + 1)
         if right is not None and right < task:
             pairs.append((cell, Cell(i, j + 1)))
-        below = state.get(i + 1, j)
+        below = _at(state.occupancy, i + 1, j)
         if below is not None and below < task:
             pairs.append((cell, Cell(i + 1, j)))
     return tuple(pairs)
@@ -274,7 +276,7 @@ def random_standard_filling(rng: Random, shape: SkewShape) -> Tableau:
     Values are placed in increasing order on a random addable cell (one whose
     left and above neighbours inside the shape are already filled).
     """
-    remaining = set(shape.cells())
+    remaining = set(shape_cells(shape))
     entries: dict[Cell, int] = {}
 
     def addable(cell: Cell) -> bool:
@@ -483,14 +485,20 @@ def turnaround_sequential(
     if tasks.m != m:
         raise DomainError(f"need requirements for exactly {m} tasks, got {tasks.m}")
 
+    # Stop once a reduced partial sum outgrows what ``str`` prints (a digit is
+    # under 10/3 bits; 0: no limit), checked after every term.
+    digits = getattr(sys, "get_int_max_str_digits", int)()
     runs: list[TaskRun] = []
-    state = a0
+    total, state = Fraction(0), a0
     for task in range(1, m + 1):
         cell = state.cell_of(task) if relocate else a0.cell_of(task)
-        runs.append(TaskRun(task, cell, tasks.requirement(task) / caps.rate(cell)))
+        rate = caps.rates[cell.row - 1][cell.col - 1]
+        runs.append(TaskRun(task, cell, tasks.requirements[task - 1] / rate))
+        total += runs[-1].duration
+        if digits and max(total.numerator, total.denominator).bit_length() > digits * 10 // 3:
+            raise ResourceLimitError(f"a turnaround sum has over {digits} digits to print")
         if relocate:
             state, _ = reassign_on_completion(state, task)
-    total = sum((run.duration for run in runs), Fraction(0))
     return TurnaroundReport(total, tuple(runs))
 
 

@@ -30,7 +30,7 @@ from taquin.hms import (
     rectify_assignment,
     turnaround_sequential,
 )
-from taquin.partitions import Cell, Partition, SkewShape, partitions_of, verify_sum_squares, count_syt
+from taquin.partitions import Partition, SkewShape, partitions_of, verify_sum_squares, count_syt
 from taquin.randgen import (
     random_hierarchical_capacities,
     random_requirements,
@@ -201,11 +201,7 @@ def test_criterion_8_turnaround():
         static = turnaround_sequential(state, tasks, caps, relocate=False).total
         moved = turnaround_sequential(state, tasks, caps, relocate=True).total
         assert moved < static
-        top_rate = caps.rate(Cell(1, 1))
-        expected = sum(
-            (tasks.requirement(t) for t in range(1, state.task_count + 1)),
-            Fraction(0),
-        ) / top_rate
+        expected = sum(tasks.requirements, Fraction(0)) / caps.rates[0][0]
         assert moved == expected
     return "500 instances, T2 < T1 and T2 = sum(r)/c(1,1) exactly"
 

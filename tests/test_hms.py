@@ -1,3 +1,8 @@
+import hashlib
+import operator
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from random import Random
 
@@ -5,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import check_trace_legality, slide_until_normal, state_from_tableau
+from conftest import check_trace_legality, shape_cells, slide_until_normal, state_from_tableau
 from taquin.errors import DomainError, InvalidStateError
 from taquin.hms import (
     CapacityGrid,
@@ -27,7 +32,7 @@ from taquin.hms import (
     rectify_assignment,
     turnaround_sequential,
 )
-from taquin.jsonio import decode_task_set
+from taquin.jsonio import decode_task_set, write_trace
 from taquin.partitions import Cell, Partition, SkewShape
 from taquin.randgen import (
     random_hierarchical_capacities,
@@ -69,7 +74,7 @@ def test_capacity_grid_allows_antidiagonal_ties():
         Partition((2, 2)),
         ((Fraction(1), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 4))),
     )
-    assert caps.rate(Cell(1, 2)) == caps.rate(Cell(2, 1)) == Fraction(1, 2)
+    assert caps.rates[0][1] == caps.rates[1][0] == Fraction(1, 2)
 
 
 def test_capacity_grid_rejects_violations():
@@ -112,11 +117,9 @@ def test_random_capacities_are_admissible():
 def test_task_set_validation():
     tasks = TaskSet((Fraction(4), Fraction(3), Fraction(2)))
     assert tasks.m == 3
-    assert tasks.requirement(2) == 3
+    assert tasks.requirements[1] == 3
     with pytest.raises(DomainError):
         TaskSet((Fraction(0),))
-    with pytest.raises(DomainError):
-        tasks.requirement(4)
     with pytest.raises(DomainError):
         decode_task_set({"1": 1, "3": 2})
 
@@ -291,7 +294,7 @@ def test_priority_order_completion_keeps_smallest_on_top():
         m = state.task_count
         for task in range(1, m):
             state, _ = reassign_on_completion(state, task)
-            assert state.get(1, 1) == task + 1
+            assert state.occupancy[0][0] == task + 1
 
 
 def promote(state: HmtState) -> HmtState:
@@ -513,6 +516,36 @@ def test_random_traces_relocate_legally():
         check_trace_legality(rectify_assignment(random_skew_assignment(rng)))
 
 
+def test_threads_reading_one_trace_share_its_events():
+    """Threads that race to read one trace get one events tuple and write one text."""
+    mesh = Partition((40,) * 40)
+    a0 = HmtState(mesh, random_standard_filling(Random(40), SkewShape(mesh)).rows)
+    trace = reassignment_sequence(a0, range(1, mesh.n + 1))
+    start = threading.Barrier(4)
+
+    def read(_):
+        start.wait(timeout=60)
+        seen = trace.events, trace.states, trace.final
+        digest = hashlib.sha256()
+        write_trace(trace, lambda text: digest.update(text.encode()))
+        return (*seen, digest.digest())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that their first reads overlap
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            reads = list(pool.map(read, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    events, states, final, text = reads[0]
+    assert len(events) == mesh.n
+    for other_events, other_states, other_final, other_text in reads[1:]:
+        assert other_events is events and other_final is final
+        assert all(map(operator.is_, other_states, states))
+        assert other_text == text
+    assert trace.events is events
+
+
 def test_rectify_assignment_confluent_for_small_inner_shapes():
     rng = Random(43)
     states = [FIG4_T1, FIG4_T2, FIG6_C]
@@ -652,9 +685,7 @@ def test_turnaround_improvement_property():
         static = turnaround_sequential(state, tasks, caps, relocate=False).total
         moved = turnaround_sequential(state, tasks, caps, relocate=True).total
         assert moved < static
-        assert moved == sum(
-            (tasks.requirement(t) for t in range(1, state.task_count + 1)), Fraction(0)
-        ) / caps.rate(Cell(1, 1))
+        assert moved == sum(tasks.requirements, Fraction(0)) / caps.rates[0][0]
 
 
 def test_descent_swap_strictly_improves_cost():
@@ -669,7 +700,7 @@ def test_descent_swap_strictly_improves_cost():
         m = rows * cols
         order = list(range(1, m + 1))
         rng.shuffle(order)
-        cells_iter = Partition((cols,) * rows).cells()
+        cells_iter = shape_cells(Partition((cols,) * rows))
         placement = dict(zip(cells_iter, order))
         state = HmtState(
             shape,
@@ -687,7 +718,7 @@ def test_descent_swap_strictly_improves_cost():
 
         def cost(assignment):
             return sum(
-                (tasks.requirement(t) / caps.rate(c) for t, c in assignment.items()),
+                (tasks.requirements[t - 1] / caps.rates[i - 1][j - 1] for t, (i, j) in assignment.items()),
                 Fraction(0),
             )
 

@@ -7,6 +7,7 @@ from conftest import (
     equivalent_skew_pair,
     exhaustive_rectifications,
     random_skew_syt,
+    shape_cells,
     slide_until_normal,
     subpartitions,
 )
@@ -161,7 +162,7 @@ def test_skew_filling_enumerator_is_complete():
 
     for outer_parts, inner_parts in [((3, 2), (1,)), ((2, 2, 1), (1,)), ((3, 3), (2,)), ((2, 2), (2, 1))]:
         shape = SkewShape.of(outer_parts, inner_parts)
-        cells = list(shape.cells())
+        cells = shape_cells(shape)
         brute = 0
         for values in perms(range(1, shape.size + 1)):
             grid = dict(zip(cells, values))

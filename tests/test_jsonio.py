@@ -11,13 +11,20 @@ from hypothesis import strategies as st
 from taquin import figures
 from taquin.errors import DomainError, ResourceLimitError
 from taquin.hms import (
+    Completion,
     HmtState,
+    ReassignmentTrace,
+    RectifyCorner,
+    TraceEvent,
     default_capacity_grid,
     reassignment_sequence,
     rectify_assignment,
 )
-from taquin.jdt import forward_slide_trace
+from taquin.jdt import Relocation, forward_slide_trace
 from taquin.jsonio import (
+    _expect_int,
+    _expect_list,
+    _expect_object,
     canonical_dumps,
     decode_capacity_grid,
     decode_fraction,
@@ -26,7 +33,6 @@ from taquin.jsonio import (
     decode_permutation,
     decode_tableau,
     decode_task_set,
-    decode_trace,
     encode_fraction,
     encode_hmt_state,
     encode_partition,
@@ -106,7 +112,7 @@ def test_state_roundtrip_with_and_without_capacities():
 
 def test_capacity_grid_decode():
     caps = decode_capacity_grid({"shape": [2, 2], "c": [["4", "2"], ["2", "1"]]})
-    assert caps.rate(Cell(1, 1)) == Fraction(4)
+    assert caps.rates[0][0] == Fraction(4)
     with pytest.raises(DomainError):
         decode_capacity_grid({"shape": [2, 2], "c": [["1", "2"], ["2", "1"]]})
 
@@ -147,6 +153,39 @@ def test_encode_fraction_refuses_exactly_what_cannot_print():
     for value in (Fraction(10**limit, 7), Fraction(7, 10**limit)):
         with pytest.raises(ResourceLimitError, match=f"over {limit} digits"):
             encode_fraction(value)
+
+
+def decode_cell(obj) -> Cell:
+    pair = _expect_list(obj, "cell")
+    if len(pair) != 2:
+        raise DomainError(f"cell must be [row, col], got {obj!r}")
+    return Cell(_expect_int(pair[0], "row"), _expect_int(pair[1], "col"))
+
+
+def decode_trace(obj) -> ReassignmentTrace:
+    """A trace from its canonical JSON, every event's state decoded and checked on its own."""
+    data = _expect_object(obj, "trace")
+    initial = decode_hmt_state(data.get("initial"))
+    events = []
+    for raw in _expect_list(data.get("events", []), "events"):
+        entry = _expect_object(raw, "event")
+        trigger_obj = _expect_object(entry.get("trigger"), "trigger")
+        if "completed" in trigger_obj:
+            trigger = Completion(_expect_int(trigger_obj["completed"], "completed task"))
+        elif "rectify_corner" in trigger_obj:
+            trigger = RectifyCorner(decode_cell(trigger_obj["rectify_corner"]))
+        else:
+            raise DomainError(f"unknown trigger {trigger_obj!r}")
+        moves = []
+        for item in _expect_list(entry.get("relocations", []), "relocations"):
+            move = _expect_object(item, "relocation")
+            task, source = _expect_int(move.get("task"), "task"), decode_cell(move.get("from"))
+            moves.append(Relocation(task, source, decode_cell(move.get("to"))))
+        noop = entry.get("noop", False)
+        if not isinstance(noop, bool):
+            raise DomainError(f"noop must be true or false, got {noop!r}")
+        events.append(TraceEvent(trigger, tuple(moves), decode_hmt_state(entry.get("state")), noop))
+    return ReassignmentTrace(initial, tuple(events))
 
 
 def test_trace_roundtrip():

@@ -11,16 +11,20 @@ random draws, same error messages.
 from __future__ import annotations
 
 import gc
+import sys
 import tracemalloc
+from fractions import Fraction
 from random import Random
 
 import oracles
+import pytest
+from conftest import shape_cells
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taquin import hms, jdt
-from taquin.errors import InvalidStateError, ShapeError
-from taquin.hms import HmtState
+from taquin.errors import DomainError, InvalidStateError, ResourceLimitError, ShapeError
+from taquin.hms import CapacityGrid, HmtState, TaskSet
 from taquin.partitions import (
     Partition,
     SkewShape,
@@ -194,6 +198,49 @@ def test_turnaround_matches_oracle(state, seed):
         assert new == oracles.turnaround_sequential(state, tasks, caps, relocate)
 
 
+def big_digit_capacities(rng: Random, shape: Partition, digits: int) -> CapacityGrid:
+    """Rates strictly decreasing along rows and columns, each step a ratio of ``digits``-digit integers."""
+    top = 10**digits
+    rates = [[Fraction(0)] * shape.parts[0] for _ in shape.parts]
+    for i, j in shape_cells(shape):
+        above = [rates[i - 2][j - 1]] if i > 1 else []
+        left = [rates[i - 1][j - 2]] if j > 1 else []
+        cap = min(above + left, default=Fraction(rng.randrange(1, top), rng.randrange(1, top)))
+        shrink = Fraction(rng.randrange(1, top), 1) / rng.randrange(top, 2 * top)
+        rates[i - 1][j - 1] = cap * shrink if above or left else cap
+    return CapacityGrid(shape, tuple(map(tuple, rates)))
+
+
+def total_or_limit(turnaround, *args):
+    """The total of ``turnaround(*args)``, or the message of the resource limit it hits."""
+    try:
+        return turnaround(*args).total
+    except ResourceLimitError as exc:
+        return ResourceLimitError, str(exc)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no printable-digit limit")
+@settings(max_examples=80, deadline=None)
+@given(normal_meshes(max_side=6), SEEDS, st.integers(1, 200))
+def test_turnaround_stops_where_the_fraction_sum_does(state, seed, digits):
+    """Under a 640-digit limit, the integer sum gives the per-term-guarded sum's total or error."""
+    rng = Random(seed)
+    caps = big_digit_capacities(rng, state.shape, rng.randint(1, digits))
+    top = 10**digits
+    tasks = TaskSet(tuple(
+        Fraction(rng.randrange(1, top), rng.randrange(1, top)) for _ in range(state.task_count)
+    ))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for relocate in (False, True):
+            args = state, tasks, caps, relocate
+            new = total_or_limit(hms.turnaround_sequential, *args)
+            assert new == total_or_limit(oracles.turnaround_sequential, *args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @settings(max_examples=60, deadline=None)
 @given(skew_syt(), st.integers(0, 3), st.integers(0, 3), SEEDS)
 def test_rectify_assignment_matches_oracle(t, extra_rows, extra_cols, seed):
@@ -239,7 +286,7 @@ def cell_sets(draw) -> list[tuple[int, int]]:
     That gives gaps, empty middle rows, rows that cannot stack and, at
     row or column 0, coordinates that are not positive.
     """
-    cells = {tuple(cell) for cell in draw(skew_shapes(6, 6)).cells()}
+    cells = {tuple(cell) for cell in shape_cells(draw(skew_shapes(6, 6)))}
     dropped = draw(st.sets(st.integers(1, 6), max_size=2))
     cells = {cell for cell in cells if cell[0] not in dropped}
     for cell in draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=3)):
@@ -265,6 +312,39 @@ def meshes_holding_a_filling(draw) -> HmtState:
 @given(st.one_of(any_occupancy(), meshes_holding_a_filling()))
 def test_maximally_embedded_matches_oracle(state):
     assert outcome(hms.maximally_embedded, state) == outcome(oracles.maximally_embedded, state)
+
+
+@st.composite
+def spoiled_normal_meshes(draw) -> HmtState:
+    """A standard normal mesh with, each maybe, a row emptied, a task idled and two tasks swapped."""
+    state = draw(normal_meshes(max_side=6))
+    grid = [list(row) for row in state.occupancy]
+    if draw(st.booleans()):
+        grid[draw(st.integers(0, len(grid) - 1))] = [None] * len(grid[0])
+    busy = [(i, j) for i, row in enumerate(grid) for j, task in enumerate(row) if task]
+    if busy and draw(st.booleans()):
+        i, j = draw(st.sampled_from(busy))
+        grid[i][j] = None
+    if len(busy) > 1 and draw(st.booleans()):
+        (a, b), (c, d) = draw(st.permutations(busy))[:2]
+        grid[a][b], grid[c][d] = grid[c][d], grid[a][b]
+    return HmtState(state.shape, grid)
+
+
+def precondition(require, state):
+    """None when ``require`` accepts ``state``, else the type and message of its error."""
+    try:
+        require(state, "op")
+    except (DomainError, InvalidStateError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(spoiled_normal_meshes(), any_occupancy(), meshes_holding_a_filling()))
+def test_one_pass_precondition_matches_classify_state(state):
+    assert precondition(hms._require_standard_normal, state) == precondition(
+        oracles._require_standard_normal, state
+    )
 
 
 @st.composite

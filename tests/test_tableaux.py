@@ -9,6 +9,7 @@ from taquin.tableaux import (
     FillKind,
     ShapeKind,
     Tableau,
+    _at,
     classify,
     is_partial,
     reading_word,
@@ -151,8 +152,8 @@ def test_enumeration_count_matches_hook_formula():
 
 
 def test_tableau_accessors():
-    assert T3.get(1, 3) == 1
-    assert T3.get(1, 1) is None
-    assert T3.get(9, 9) is None
+    assert _at(T3.rows, 1, 3) == 1
+    assert _at(T3.rows, 1, 1) is None
+    assert _at(T3.rows, 9, 9) is None
     assert T3.entries == frozenset(range(1, 9))
     assert T3.size == 8
