@@ -13,13 +13,13 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, count
+from itertools import count
 from math import gcd
 from operator import lt, truediv
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError, InvalidStateError, ResourceLimitError, ShapeError
-from .jdt import Relocation, _cell_table, _rectify_slides, _relocations, _replay, _slide
+from .jdt import Relocation, _cell_table, _pad, _rectify_slides, _relocations, _replay, _slide
 from .partitions import Cell, Partition, SkewShape, _skew_shape_of_rows
 from .tableaux import ShapeKind, Tableau, _cells, _descents, is_partial
 
@@ -268,8 +268,8 @@ def reassign_on_completion(state: HmtState, task: int) -> tuple[HmtState, tuple[
     and of normal shape again.
     """
     _require_standard_normal(state, "reassign_on_completion")
-    grid, log = [list(row) for row in state.occupancy], []
-    _slide(grid, state.cell_of(task), 1, log)
+    (flat, w), log, cell = _pad(state.occupancy), [], state.cell_of(task)
+    _slide(flat, (cell.row - 1) * w + cell.col - 1, 1, w, log, {})
     event = ReassignmentTrace._logged(state, Completion, [task], log, [len(log)]).events[0]
     return event.state, event.relocations
 
@@ -284,20 +284,20 @@ def reassignment_sequence(a0: HmtState, completions: Iterable[int]) -> Reassignm
     """
     _require_standard_normal(a0, "reassignment_sequence")
     completions = list(completions)
-    grid, log, ends = [list(row) for row in a0.occupancy], [], []
-    # Each task's offset (see ``jdt._slide``), kept up to date from the log.
-    where = {task: k for k, task in enumerate(chain.from_iterable(grid)) if task is not None}
-    if len(set(completions)) != len(completions):
-        raise DomainError("completion sequence repeats a task")
+    (flat, w), log, ends = _pad(a0.occupancy), [], []
+    # ``flat`` is the mesh padded for ``jdt._slide``: cell (i, j) at offset i * W + j, W = cols + 1,
+    # idle and padding cells holding the sentinel ``flat[-1]``.  ``where`` maps each task to its
+    # offset; the kernel stores each moved task's new one, so a cascade starts at ``where.pop``.
+    where = {task: k for k, task in enumerate(flat) if task < flat[-1]}
     missing = [task for task in completions if not _is_task_id(task) or task not in where]
+    # Every completion that is no task ID is missing; only task IDs are sure to be hashable.
+    if all(map(_is_task_id, missing)) and len(set(completions)) != len(completions):
+        raise DomainError("completion sequence repeats a task")
     if missing:
         raise DomainError(f"completion of unassigned task {missing[0]!r}")
 
-    cells = _cell_table(grid)
     for task in completions[: len(where) - 1]:
-        start = len(log)
-        _slide(grid, cells[where.pop(task)], 1, log)
-        where.update(zip(log[start + 1 :: 2], log[start::2]))
+        _slide(flat, where.pop(task), 1, w, log, where)
         ends.append(len(log))
     # The last task's completion empties the workload but moves nothing: a no-op.
     ends += [len(log)] * (len(completions) - len(ends))
@@ -317,8 +317,8 @@ def rectify_assignment(a0: HmtState) -> ReassignmentTrace:
         raise DomainError("rectify_assignment needs a standard state")
 
     # Idle cells outside the embedded shape read as off-grid: slide on the mesh itself.
-    grid, log, ends = [list(row) for row in a0.occupancy], [], []
-    corners = _rectify_slides(grid, shape.inner, log, ends)
+    (flat, w), log, ends = _pad(a0.occupancy), [], []
+    corners = _rectify_slides(flat, w, shape.inner, log, ends)
     return ReassignmentTrace._logged(a0, RectifyCorner, corners, log, ends)
 
 

@@ -3,13 +3,17 @@
 A forward slide opens a hole at an inner corner of the inner shape and pulls
 the smaller of the right/below entries into it until the hole reaches an inner
 corner of the outer shape; a backward slide is the mirror image and inverts it.
-Both, and the completion cascades of ``hms``, run on one trusting kernel.
+Both, and ``hms``'s completion cascades, run on one trusting kernel over one
+flat list (``_pad``): cell (i, j), 0-based, at offset ``i * W + j`` with ``W``
+one more than the widest row, so each row ends in a padding cell; a padding
+row follows the last.  Idle and padding cells hold one sentinel: ``1 +
+max(entry)``, or 0 on negated entries.
 """
 
 from __future__ import annotations
 
-from itertools import product, repeat
-from typing import Iterator, NamedTuple
+from itertools import chain, product, repeat
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DomainError
 from .partitions import Cell, Partition, SkewShape, inner_corners, outer_corners
@@ -24,49 +28,53 @@ class Relocation(NamedTuple):
     dest: Cell
 
 
-Grid = list[list[int | None]]
+def _pad(rows: Sequence[tuple[int | None, ...]], step: int = 1) -> tuple[list[int], int]:
+    """``rows`` as ``_slide``'s flat grid, and its ``W``; ``step=-1`` negates the entries."""
+    w = 1 + max(map(len, rows), default=0)
+    flat = [*chain.from_iterable(row + (None,) * (w - len(row)) for row in rows), *(None,) * w]
+    idle = 1 + max(filter(None, flat), default=0) if step > 0 else 0
+    return [idle if entry is None else entry * step for entry in flat], w
 
 
-def _slide(grid: Grid, hole: Cell, step: int, log: list[int]) -> Cell:
-    """Vacate ``hole`` and fill it in place until no neighbour can move in; return where it stopped.
+def _slide(flat: list[int], k: int, step: int, w: int, log: list[int], where: dict) -> None:
+    """Vacate offset ``k`` of a ``_pad`` grid and fill it in place until nothing can move in.
 
-    Empty and off-grid cells both read as ``None``.  With ``step=+1`` the
-    smaller of the right/below entries moves in (a forward slide or completion
-    cascade); with ``step=-1`` the larger of the left/above entries does.
-    ``log`` gets the hole's offset ``i * w + j`` (0-based, ``w`` the first
-    row's length), then each move's entry and source offset: a move's
-    destination is the offset logged just before its entry.
+    The smaller of the entries at ``k + step`` and ``k + step * w`` moves in
+    until it is the sentinel ``flat[-1]``; on negated entries (``step=-1``)
+    that is the larger left/above one.  Off the grid, even left of or above
+    cell (0, 0), is padding, so a move tests no bounds.  ``log`` gets ``k``,
+    then each move's entry and source offset (its destination is the offset
+    logged before its entry); ``where`` gets each moved entry's new offset.
     """
-    i, j, w = hole.row - 1, hole.col - 1, len(grid[0])
-    grid[i][j] = None
-    log.append(i * w + j)
+    idle, down, add = flat[-1], step * w, log.append
+    add(k)
     while True:
-        row, i_down, j_across = grid[i], i + step, j + step
-        across = row[j_across] if 0 <= j_across < len(row) else None
-        down = grid[i_down][j] if 0 <= i_down < len(grid) and j < len(grid[i_down]) else None
-        if across is None and down is None:
-            return Cell(i + 1, j + 1)
-        # Entries are positive, so scaling by ``step = -1`` reverses their order.
-        if down is None or (across is not None and across * step < down * step):
-            row[j], row[j_across], j = across, None, j_across
-            log.append(across)
+        across, below = flat[k + step], flat[k + down]
+        if across < below:
+            flat[k], where[across] = across, k
+            k += step
+            add(across)
+        elif below != idle:
+            flat[k], where[below] = below, k
+            k += down
+            add(below)
         else:
-            row[j], grid[i_down][j], i = down, None, i_down
-            log.append(down)
-        log.append(i * w + j)
+            flat[k] = idle
+            return
+        add(k)
 
 
 _new = tuple.__new__  # a NamedTuple's own ``__new__`` adds a Python call per value
 
 
-def _cell_table(grid: Grid) -> list[Cell]:
-    """The cells of ``grid``'s bounding box, indexed by offset (see ``_slide``)."""
-    cols = range(1, max(map(len, grid), default=0) + 1)
-    return list(map(_new, repeat(Cell), product(range(1, len(grid) + 1), cols)))
+def _cell_table(rows: Sequence[Sequence[object]]) -> list[Cell]:
+    """The cells of ``rows``' box and padding column, each at its offset ``i * W + j``."""
+    cols = range(1, 2 + max(map(len, rows), default=0))  # W columns
+    return list(map(_new, repeat(Cell), product(range(1, len(rows) + 1), cols)))
 
 
-def _relocations(log: list[int], cells: list[Cell]) -> tuple[Relocation, ...]:
-    """The moves in one slide's ``log`` entries, with ``cells`` from ``_cell_table``."""
+def _relocations(log: list[int], cells: Sequence[Cell] | dict) -> tuple[Relocation, ...]:
+    """The moves in one slide's ``log`` entries; ``cells`` names each offset (``_cell_table``)."""
     moves = range(1, len(log), 2)
     return tuple([_new(Relocation, (log[k], cells[log[k + 1]], cells[log[k - 1]])) for k in moves])
 
@@ -74,10 +82,9 @@ def _relocations(log: list[int], cells: list[Cell]) -> tuple[Relocation, ...]:
 def _replay(rows: tuple, log: list[int], ends: list[int]) -> Iterator[tuple[list[int], tuple]]:
     """Replay the slides logged up to each of ``ends`` over ``rows``, a tuple of row tuples.
 
-    Yields each slide's entries and the rows after it, which share every row
-    the slide did not rewrite; an empty slide (a trace's no-op) rewrites none.
+    Yields each slide's entries and the rows after it, sharing the rows it left; offsets use ``W``.
     """
-    grid, w, start = [list(row) for row in rows], max(map(len, rows), default=0), 0
+    grid, w, start = [list(row) for row in rows], 1 + max(map(len, rows), default=0), 0
     for end in ends:
         entries, start = log[start:end], end
         if entries:
@@ -86,8 +93,8 @@ def _replay(rows: tuple, log: list[int], ends: list[int]) -> Iterator[tuple[list
                 grid[i][j] = entries[k]
             i, j = divmod(entries[-1], w)
             grid[i][j] = None
-            first, last = entries[0] // w, i + 1
-            rows = rows[:first] + tuple(map(tuple, grid[first:last])) + rows[last:]
+            first, last = sorted((entries[0] // w, i))  # a backward slide ends above its start
+            rows = rows[:first] + tuple(map(tuple, grid[first : last + 1])) + rows[last + 1 :]
         yield entries, rows
 
 
@@ -102,14 +109,13 @@ def forward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[R
     _require_partial(p)
     if start not in inner_corners(p.shape.inner):
         raise DomainError(f"{start} is not an inner corner of {p.shape.inner.parts}")
-
-    grid, log = [list(row) for row in p.rows], []
-    vacated = _slide(grid, start, 1, log)
-    grid[vacated.row - 1].pop()  # an inner corner of the outer shape ends its row
-    if not grid[-1]:
-        grid.pop()
-    shape = SkewShape(p.shape.outer.remove_corner(vacated), p.shape.inner.remove_corner(start))
-    return Tableau(shape, grid), vacated, _relocations(log, _cell_table(p.rows))
+    (flat, w), log = _pad(p.rows), []
+    _slide(flat, (start.row - 1) * w + start.col - 1, 1, w, log, {})
+    path = {k: Cell(k // w + 1, k % w + 1) for k in log[::2]}  # the cells the hole crossed
+    [(_, rows)] = _replay(p.rows, log, [len(log)])
+    shape = SkewShape(p.shape.outer.remove_corner(path[log[-1]]), p.shape.inner.remove_corner(start))
+    rows = [row[:n] for row, n in zip(rows, shape.outer.parts)]  # drop the vacated cell
+    return Tableau(shape, rows), path[log[-1]], _relocations(log, path)
 
 
 def backward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[Relocation, ...]]:
@@ -118,45 +124,39 @@ def backward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[
     _require_partial(p)
     if start not in outer_corners(p.shape.outer):
         raise DomainError(f"{start} is not an outer corner of {p.shape.outer.parts}")
+    rows = list(p.rows) + [()] * (start.row - len(p.rows))  # ``start`` may open a row
+    rows[start.row - 1] += (None,)
+    (flat, w), log = _pad(rows, -1), []
+    _slide(flat, (start.row - 1) * w + start.col - 1, -1, w, log, {})
+    path = {k: Cell(k // w + 1, k % w + 1) for k in log[::2]}  # the cells the hole crossed
+    log[1::2] = [-entry for entry in log[1::2]]
+    [(_, rows)] = _replay(tuple(rows), log, [len(log)])
+    shape = SkewShape(p.shape.outer.add_corner(start), p.shape.inner.add_corner(path[log[-1]]))
+    return Tableau(shape, rows), path[log[-1]], _relocations(log, path)
 
-    grid, log = [list(row) for row in p.rows], []
-    if start.row > len(grid):
-        grid.append([])
-    grid[start.row - 1].append(None)
-    vacated = _slide(grid, start, -1, log)
-    shape = SkewShape(p.shape.outer.add_corner(start), p.shape.inner.add_corner(vacated))
-    return Tableau(shape, grid), vacated, _relocations(log, _cell_table(grid))
 
+def _rectify_slides(flat: list[int], w: int, inner: Partition, log: list, ends: list) -> list[Cell]:
+    """Forward-slide a ``_pad`` grid in place until ``inner`` is empty; return the corners opened.
 
-def _rectify_slides(grid: Grid, inner: Partition, log: list[int], ends: list[int]) -> list[Cell]:
-    """Forward-slide ``grid`` in place until ``inner`` is empty; return the corners opened.
-
-    Each slide opens the first (smallest row, then column) inner corner: the
-    rectified result is the same whatever order the corners are opened in, so
-    one fixed order keeps traces stable.  Empty cells outside ``inner`` act as
-    outside the shape, so vacated cells stay as ``None``.  Each slide goes to
-    ``log`` (see ``_slide``), and then the log's length to ``ends``.
+    Each opens the first inner corner (one order keeps traces stable); ``ends`` gets its log end.
     """
-    corners = []
+    corners, where = [], {}  # no caller reads the entries' offsets
     while inner.parts:
         corners.append(inner_corners(inner)[0])
-        _slide(grid, corners[-1], 1, log)
+        _slide(flat, (corners[-1].row - 1) * w + corners[-1].col - 1, 1, w, log, where)
         ends.append(len(log))
         inner = inner.remove_corner(corners[-1])
     return corners
 
 
 def rectify(p: Tableau) -> Tableau:
-    """Forward-slide until the inner shape is empty.
-
-    The result does not depend on the order the inner corners are opened in.
-    """
+    """Forward-slide until the inner shape is empty: any order of inner corners gives this."""
     if p.shape.is_normal:
         return p
     _require_partial(p)
-    grid = [list(row) for row in p.rows]
-    _rectify_slides(grid, p.shape.inner, [], [])
-    rows = [[entry for entry in row if entry is not None] for row in grid]
+    flat, w = _pad(p.rows)
+    _rectify_slides(flat, w, p.shape.inner, [], [])
+    rows = [[e for e in flat[k : k + w] if e != flat[-1]] for k in range(0, len(flat) - w, w)]
     return Tableau.normal([row for row in rows if row])
 
 

@@ -6,12 +6,15 @@ completion cascade, rectification and RSK step is written out on its own,
 with validation on every call.  The random filling and the region
 derivation are the earlier versions built on sets and maps of cells.  The
 tests in ``test_kernels.py`` require the library to agree with them move for
-move.  The last two decide Knuth equivalence by brute force, independently
-of insertion tableaux.
+move.  ``knuth_neighbors`` and ``knuth_reachable_oracle`` decide Knuth
+equivalence by brute force, independently of insertion tableaux.
+``verify_trace`` shares no code with the library either: it checks a printed
+trace against the paper's greedy relocation rule.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
@@ -544,3 +547,92 @@ def knuth_reachable_oracle(pi: Permutation, tau: Permutation, max_length: int = 
                 seen.add(neighbor)
                 frontier.append(neighbor)
     return False
+
+
+class TraceViolation(AssertionError):
+    """A printed trace breaks the greedy relocation rule."""
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise TraceViolation(message)
+
+
+def _same(a: object, b: object) -> bool:
+    """JSON equality: unlike ``==``, ``true`` is not ``1`` and ``1.0`` is not ``1``."""
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def _trace_cell(obj: object, what: str) -> tuple[int, int]:
+    ok = isinstance(obj, list) and len(obj) == 2 and all(type(x) is int for x in obj)
+    _require(ok, f"{what} {obj!r} is not a [row, col] pair")
+    return obj[0], obj[1]
+
+
+def _busy_right_below(grid: list[list[int | None]], hole: tuple[int, int]) -> dict:
+    """The occupied right and below neighbours of ``hole`` on the mesh, cell to task."""
+    i, j = hole
+    busy = {}
+    for r, c in ((i, j + 1), (i + 1, j)):
+        if 1 <= r <= len(grid) and 1 <= c <= len(grid[r - 1]) and grid[r - 1][c - 1] is not None:
+            busy[r, c] = grid[r - 1][c - 1]
+    return busy
+
+
+def verify_trace(trace: dict) -> None:
+    """Check a trace's JSON, as ``simulate`` and ``rectify`` print it, against the paper's rule.
+
+    Uses no library code: the initial cells are replayed move by move on a
+    list of lists.  Each relocation must move a task into the adjacent idle
+    cell, from its right or below; the task moved must be the smaller of the
+    occupied right/below neighbours, and a cascade may stop only where both
+    are idle or off the mesh.  Each recorded state must equal the replayed
+    one, and ``noop`` may mark only a trace's final event, completing the
+    last task left (which such a completion must be).  Raises
+    ``TraceViolation`` at the first event that breaks a rule.
+    """
+    _require(set(trace) == {"initial", "events"}, f"trace keys {sorted(trace)}")
+    initial, events = trace["initial"], trace["events"]
+    grid = [list(row) for row in initial["cells"]]
+    _require(_same(list(map(len, grid)), initial["shape"]), "initial cells do not fill the shape")
+    tasks = [task for row in grid for task in row if task is not None]
+    ok = all(type(task) is int and task > 0 for task in tasks) and len(set(tasks)) == len(tasks)
+    _require(ok, "initial tasks are not distinct positive integers")
+    for e, event in enumerate(events, start=1):
+        at = f"event {e}"
+        keys = {"trigger", "relocations", "state", "noop"}
+        _require(set(event) <= keys, f"{at}: keys {sorted(event)}")
+        trigger, moves = event["trigger"], event["relocations"]
+        tasks = [task for row in grid for task in row if task is not None]
+        noop = "noop" in event
+        if noop:
+            final = e == len(events) and len(tasks) == 1 and _same(trigger, {"completed": tasks[0]})
+            _require(event["noop"] is True and final and moves == [], f"{at}: a no-op that is not "
+                     "the final completion of the last task")
+        elif set(trigger) == {"completed"}:
+            task = trigger["completed"]
+            _require(type(task) is int and task in tasks, f"{at}: task {task!r} is not assigned")
+            _require(len(tasks) > 1, f"{at}: the last task's completion is not a no-op")
+            i, row = next((i, row) for i, row in enumerate(grid, start=1) if task in row)
+            hole = i, row.index(task) + 1
+            row[hole[1] - 1] = None
+        else:
+            _require(set(trigger) == {"rectify_corner"}, f"{at}: trigger {trigger!r}")
+            hole = _trace_cell(trigger["rectify_corner"], f"{at}: corner")
+            on_mesh = 1 <= hole[0] <= len(grid) and 1 <= hole[1] <= len(grid[hole[0] - 1])
+            _require(on_mesh and grid[hole[0] - 1][hole[1] - 1] is None, f"{at}: corner not idle")
+        for n, move in enumerate([] if noop else moves, start=1):
+            where = f"{at}, relocation {n}"
+            _require(set(move) == {"task", "from", "to"}, f"{where}: keys {sorted(move)}")
+            source, dest = _trace_cell(move["from"], where), _trace_cell(move["to"], where)
+            _require(dest == hole, f"{where}: moves into {dest}, not the idle cell {hole}")
+            busy = _busy_right_below(grid, hole)
+            _require(source in busy, f"{where}: {source} is no occupied right/below neighbour")
+            _require(_same(move["task"], busy[source]), f"{where}: {source} holds {busy[source]}")
+            _require(busy[source] == min(busy.values()), f"{where}: a larger task moved")
+            grid[dest[0] - 1][dest[1] - 1], grid[source[0] - 1][source[1] - 1] = busy[source], None
+            hole = source
+        if not noop:
+            _require(not _busy_right_below(grid, hole), f"{at}: stops beside an occupied cell")
+        replayed = {**initial, "cells": grid}
+        _require(_same(event["state"], replayed), f"{at}: state differs from the replay")

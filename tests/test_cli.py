@@ -22,6 +22,8 @@ STATES = Path(figures.__file__).parent / "fixtures" / "states"
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
+    if code == 0 and argv[0] in ("simulate", "rectify"):
+        oracles.verify_trace(json.loads(captured.out))  # every printed trace obeys the rule
     return code, captured.out, captured.err
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import operator
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -276,10 +277,26 @@ def test_reassignment_sequence_rejects_bad_completions():
         reassignment_sequence(FIG3_A0, (1, 99))
 
 
-@pytest.mark.parametrize("task", [2.7, True, "3"])
+@pytest.mark.parametrize("task", [2.7, True, "3", [1], {1}])
 def test_reassignment_sequence_rejects_non_int_task_ids(task):
     with pytest.raises(DomainError):
         reassignment_sequence(FIG3_A0, [task])
+
+
+def test_reassignment_sequence_error_messages():
+    # Unhashable completions are reported as unassigned before the repeat check hashes them.
+    for completions, message in (
+        ([[1]], "completion of unassigned task [1]"),
+        ([{1}], "completion of unassigned task {1}"),
+        ([1, [1], [1]], "completion of unassigned task [1]"),
+        ([1.0], "completion of unassigned task 1.0"),
+        ([True], "completion of unassigned task True"),
+        ([1, 1], "completion sequence repeats a task"),
+        ([2, 1, 2, 99], "completion sequence repeats a task"),
+        ([2, 99], "completion of unassigned task 99"),
+    ):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            reassignment_sequence(FIG3_A0, completions)
 
 
 def test_reassign_on_completion_rejects_bool_task_id():
