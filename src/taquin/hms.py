@@ -20,6 +20,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import DomainError, InvalidStateError, ResourceLimitError, ShapeError
 from .jdt import Relocation, _cell_table, _pad, _rectify_slides, _relocations, _replay, _slide
+from .jdt import _slide_rows
 from .partitions import Cell, Partition, SkewShape, _skew_shape_of_rows
 from .tableaux import ShapeKind, Tableau, _cells, _descents, is_partial
 
@@ -203,17 +204,10 @@ class TraceEvent:
 
 
 class ReassignmentTrace:
-    """An initial state and its events; the library's traces replay theirs from a move log."""
+    """A trace whose event e has trigger ``kind(args[e])`` and ends at ``log[ends[e]]``."""
 
-    def __init__(self, initial: HmtState, events: Iterable[TraceEvent]) -> None:
-        vars(self).update(initial=initial, events=tuple(events), _log=None)
-
-    @classmethod
-    def _logged(cls, initial: HmtState, kind: type, args: list, log: list[int], ends: list[int]):
-        """A trace whose event e has trigger ``kind(args[e])`` and ends at ``log[ends[e]]``."""
-        trace = object.__new__(cls)
-        vars(trace).update(initial=initial, _kind=kind, _args=args, _log=log, _ends=ends)
-        return trace
+    def __init__(self, initial: HmtState, kind: type, args: list, log: list[int], ends: list[int]):
+        vars(self).update(initial=initial, _kind=kind, _args=args, _log=log, _ends=ends)
 
     @property
     def events(self) -> tuple[TraceEvent, ...]:
@@ -268,10 +262,12 @@ def reassign_on_completion(state: HmtState, task: int) -> tuple[HmtState, tuple[
     and of normal shape again.
     """
     _require_standard_normal(state, "reassign_on_completion")
-    (flat, w), log, cell = _pad(state.occupancy), [], state.cell_of(task)
-    _slide(flat, (cell.row - 1) * w + cell.col - 1, 1, w, log, {})
-    event = ReassignmentTrace._logged(state, Completion, [task], log, [len(log)]).events[0]
-    return event.state, event.relocations
+    rows = state.occupancy  # only a task ID is looked up: ``True in row`` would find task 1
+    i = next((i for i, row in enumerate(rows) if task in row), -1) if _is_task_id(task) else -1
+    if i < 0:
+        raise DomainError(f"task {task!r} is not assigned")
+    after, _, moves = _slide_rows(rows, Cell(i + 1, rows[i].index(task) + 1), 1)
+    return state._snapshot(after), moves
 
 
 def reassignment_sequence(a0: HmtState, completions: Iterable[int]) -> ReassignmentTrace:
@@ -301,7 +297,7 @@ def reassignment_sequence(a0: HmtState, completions: Iterable[int]) -> Reassignm
         ends.append(len(log))
     # The last task's completion empties the workload but moves nothing: a no-op.
     ends += [len(log)] * (len(completions) - len(ends))
-    return ReassignmentTrace._logged(a0, Completion, completions, log, ends)
+    return ReassignmentTrace(a0, Completion, completions, log, ends)
 
 
 def rectify_assignment(a0: HmtState) -> ReassignmentTrace:
@@ -319,7 +315,7 @@ def rectify_assignment(a0: HmtState) -> ReassignmentTrace:
     # Idle cells outside the embedded shape read as off-grid: slide on the mesh itself.
     (flat, w), log, ends = _pad(a0.occupancy), [], []
     corners = _rectify_slides(flat, w, shape.inner, log, ends)
-    return ReassignmentTrace._logged(a0, RectifyCorner, corners, log, ends)
+    return ReassignmentTrace(a0, RectifyCorner, corners, log, ends)
 
 
 def naive_slide_up(a0: HmtState) -> HmtState:

@@ -3,11 +3,12 @@
 A forward slide opens a hole at an inner corner of the inner shape and pulls
 the smaller of the right/below entries into it until the hole reaches an inner
 corner of the outer shape; a backward slide is the mirror image and inverts it.
-Both, and ``hms``'s completion cascades, run on one trusting kernel over one
-flat list (``_pad``): cell (i, j), 0-based, at offset ``i * W + j`` with ``W``
-one more than the widest row, so each row ends in a padding cell; a padding
-row follows the last.  Idle and padding cells hold one sentinel: ``1 +
-max(entry)``, or 0 on negated entries.
+Both, and ``hms``'s cascades, run on one trusting kernel over one flat list
+(``_pad``): cell (i, j), 0-based, at offset ``i * W + j`` with ``W`` one more
+than the widest row, so each row ends in a padding cell; a padding row follows
+the last.  Idle and padding cells hold one sentinel: ``1 + max(entry)``, or 0
+on negated entries.  ``_moves`` reads a slide's moves from its log, and
+``_slide_rows`` runs one slide for both slide traces and a single completion.
 """
 
 from __future__ import annotations
@@ -73,10 +74,14 @@ def _cell_table(rows: Sequence[Sequence[object]]) -> list[Cell]:
     return list(map(_new, repeat(Cell), product(range(1, len(rows) + 1), cols)))
 
 
+def _moves(log: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """Each move in one slide's ``log`` entries as its ``(entry, source, dest)`` offsets."""
+    return zip(log[1::2], log[2::2], log[:-1:2])
+
+
 def _relocations(log: list[int], cells: Sequence[Cell] | dict) -> tuple[Relocation, ...]:
     """The moves in one slide's ``log`` entries; ``cells`` names each offset (``_cell_table``)."""
-    moves = range(1, len(log), 2)
-    return tuple([_new(Relocation, (log[k], cells[log[k + 1]], cells[log[k - 1]])) for k in moves])
+    return tuple([_new(Relocation, (t, cells[src], cells[dst])) for t, src, dst in _moves(log)])
 
 
 def _replay(rows: tuple, log: list[int], ends: list[int]) -> Iterator[tuple[list[int], tuple]]:
@@ -103,19 +108,27 @@ def _require_partial(p: Tableau) -> None:
         raise DomainError("slides are defined on strictly increasing tableaux")
 
 
+def _slide_rows(rows: tuple, start: Cell, step: int) -> tuple[tuple, Cell, tuple[Relocation, ...]]:
+    """Slide ``rows``, a tuple of row tuples, once from ``start`` (``step`` as ``_pad``'s): the
+    rows after (sharing the rows it left), the vacated cell and the moves, as ``Cell``s."""
+    (flat, w), log = _pad(rows, step), []
+    _slide(flat, (start.row - 1) * w + start.col - 1, step, w, log, {})
+    path = {k: Cell(k // w + 1, k % w + 1) for k in log[::2]}  # the cells the hole crossed
+    log[1::2] = [entry * step for entry in log[1::2]]
+    [(_, rows)] = _replay(rows, log, [len(log)])
+    return rows, path[log[-1]], _relocations(log, path)
+
+
 def forward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[Relocation, ...]]:
     """Forward slide returning the result, the vacated cell, and every hole move."""
     start = Cell(*start)
     _require_partial(p)
     if start not in inner_corners(p.shape.inner):
         raise DomainError(f"{start} is not an inner corner of {p.shape.inner.parts}")
-    (flat, w), log = _pad(p.rows), []
-    _slide(flat, (start.row - 1) * w + start.col - 1, 1, w, log, {})
-    path = {k: Cell(k // w + 1, k % w + 1) for k in log[::2]}  # the cells the hole crossed
-    [(_, rows)] = _replay(p.rows, log, [len(log)])
-    shape = SkewShape(p.shape.outer.remove_corner(path[log[-1]]), p.shape.inner.remove_corner(start))
+    rows, end, moves = _slide_rows(p.rows, start, 1)
+    shape = SkewShape(p.shape.outer.remove_corner(end), p.shape.inner.remove_corner(start))
     rows = [row[:n] for row, n in zip(rows, shape.outer.parts)]  # drop the vacated cell
-    return Tableau(shape, rows), path[log[-1]], _relocations(log, path)
+    return Tableau(shape, rows), end, moves
 
 
 def backward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[Relocation, ...]]:
@@ -126,13 +139,9 @@ def backward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[
         raise DomainError(f"{start} is not an outer corner of {p.shape.outer.parts}")
     rows = list(p.rows) + [()] * (start.row - len(p.rows))  # ``start`` may open a row
     rows[start.row - 1] += (None,)
-    (flat, w), log = _pad(rows, -1), []
-    _slide(flat, (start.row - 1) * w + start.col - 1, -1, w, log, {})
-    path = {k: Cell(k // w + 1, k % w + 1) for k in log[::2]}  # the cells the hole crossed
-    log[1::2] = [-entry for entry in log[1::2]]
-    [(_, rows)] = _replay(tuple(rows), log, [len(log)])
-    shape = SkewShape(p.shape.outer.add_corner(start), p.shape.inner.add_corner(path[log[-1]]))
-    return Tableau(shape, rows), path[log[-1]], _relocations(log, path)
+    rows, end, moves = _slide_rows(tuple(rows), start, -1)
+    shape = SkewShape(p.shape.outer.add_corner(start), p.shape.inner.add_corner(end))
+    return Tableau(shape, rows), end, moves
 
 
 def _rectify_slides(flat: list[int], w: int, inner: Partition, log: list, ends: list) -> list[Cell]:

@@ -23,7 +23,7 @@ from .hms import (
     RectifyCorner,
     TaskSet,
 )
-from .jdt import Relocation, _cell_table, _replay
+from .jdt import Relocation, _cell_table, _moves, _replay
 from .partitions import Cell, Partition, SkewShape
 from .rsk import Permutation
 from .tableaux import Tableau
@@ -260,24 +260,18 @@ def _row_text(row: Sequence[int | None], indent: int) -> str:
 def write_trace(trace: ReassignmentTrace, write: Callable[[str], object]) -> None:
     """Write ``canonical_dumps(encode_trace(trace))`` through ``write``, one call per event.
 
-    A trace the library built is rendered from its move log (``jdt._replay``),
-    with new text only for the rows an event rewrote and no snapshot or
-    relocation built.  One built from its events, as the test oracles' are,
-    is encoded whole and written in one call.
+    The text is rendered from the trace's move log (``jdt._replay``, its moves
+    read by ``jdt._moves``), with new text only for the rows an event rewrote
+    and no snapshot or relocation built.
     """
-    if trace._log is None:
-        write(canonical_dumps(encode_trace(trace)))
-        return
     a0, trigger = trace.initial, _TRIGGER[trace._kind]
-    cells, rows = _cell_table(a0.occupancy), a0.occupancy
-    frame = _state_frame(a0, 6)
+    cells, rows, frame = _cell_table(a0.occupancy), a0.occupancy, _state_frame(a0, 6)
     texts = [_row_text(row, 10) for row in rows]
     separator = '{\n  "events": [\n    '
     for arg, (log, after) in zip(trace._args, _replay(rows, trace._log, trace._ends)):
         texts = [t if row is old else _row_text(row, 10) for t, old, row in zip(texts, rows, after)]
         rows = after
-        moves = [_RELOCATION % (*cells[log[k + 1]], log[k], *cells[log[k - 1]])
-                 for k in range(1, len(log), 2)]
+        moves = [_RELOCATION % (*cells[src], task, *cells[dst]) for task, src, dst in _moves(log)]
         fields = [
             ("relocations", _array(moves, 6)),
             ("state", _array(texts, 8).join(frame)),

@@ -1,4 +1,4 @@
-"""Shared strategies, brute-force oracles, and trace checkers for the suite."""
+"""Shared strategies and brute-force oracles for the suite."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from typing import Iterator
 
 from hypothesis import strategies as st
 
-from taquin.hms import HmtState, ReassignmentTrace
+from taquin.hms import HmtState
 from taquin.jdt import backward_slide_trace, forward_slide_trace
 from taquin.partitions import Cell, Partition, SkewShape, inner_corners, outer_corners
 from taquin.randgen import random_partition_in_box, random_standard_filling, random_subpartition
@@ -145,28 +145,6 @@ def independent_skew_pair(rng: Random, max_cells: int = 8) -> tuple[Tableau, Tab
         second = random_skew_syt(rng, max_cells=max_cells, min_cells=2)
         if second.size == first.size:
             return first, second
-
-
-def check_trace_legality(trace: ReassignmentTrace) -> None:
-    """Replay a trace asserting every relocation is adjacent, busy-to-idle, sequential."""
-    grid = [list(row) for row in trace.initial.occupancy]
-    for event in trace.events:
-        if not event.noop and hasattr(event.trigger, "task"):
-            cell = None
-            for i, row in enumerate(grid):
-                for j, task in enumerate(row):
-                    if task == event.trigger.task:
-                        cell = (i, j)
-            assert cell is not None, "completed task not on the grid"
-            grid[cell[0]][cell[1]] = None
-        for move in event.relocations:
-            distance = abs(move.source.row - move.dest.row) + abs(move.source.col - move.dest.col)
-            assert distance == 1, "relocation between non-adjacent cells"
-            assert grid[move.source.row - 1][move.source.col - 1] == move.task, "source not busy"
-            assert grid[move.dest.row - 1][move.dest.col - 1] is None, "destination not idle"
-            grid[move.dest.row - 1][move.dest.col - 1] = move.task
-            grid[move.source.row - 1][move.source.col - 1] = None
-        assert tuple(tuple(row) for row in grid) == event.state.occupancy, "state mismatch"
 
 
 def state_from_tableau(t: Tableau, shape: tuple[int, ...]) -> HmtState:

@@ -20,7 +20,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
 from random import Random
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from conftest import shape_cells
 from taquin.errors import DomainError, InvalidStateError, ResourceLimitError, ShapeError
@@ -28,7 +28,6 @@ from taquin.hms import (
     CapacityGrid,
     Completion,
     HmtState,
-    ReassignmentTrace,
     RectifyCorner,
     Relocation,
     StateKind,
@@ -44,6 +43,20 @@ from taquin.tableaux import ShapeKind, Tableau, _at, _cells, is_standard
 
 # The library always opens the first inner corner; the oracles still take any order.
 SlidePolicy = Callable[[Sequence[Cell]], Cell]
+
+
+class Trace(NamedTuple):
+    """A trace as its initial state and events, as the oracles build it and the tests decode it.
+
+    It equals ``(trace.initial, trace.events)`` of the library trace it matches.
+    """
+
+    initial: HmtState
+    events: tuple[TraceEvent, ...]
+
+    @property
+    def final(self) -> HmtState:
+        return self.events[-1].state if self.events else self.initial
 
 
 def first_corner(corners: Sequence[Cell]) -> Cell:
@@ -407,7 +420,7 @@ def reassign_on_completion(state: HmtState, task: int) -> tuple[HmtState, tuple[
     return HmtState(state.shape, grid, state.capacities), tuple(relocations)
 
 
-def reassignment_sequence(a0: HmtState, completions: Iterable[int]) -> ReassignmentTrace:
+def reassignment_sequence(a0: HmtState, completions: Iterable[int]) -> Trace:
     """Fold completion events over ``a0``, recording each reassignment.
 
     ``completions`` must be distinct task IDs assigned in ``a0`` (a full
@@ -434,10 +447,10 @@ def reassignment_sequence(a0: HmtState, completions: Iterable[int]) -> Reassignm
         else:
             # The last task's completion empties the workload but moves nothing.
             events.append(TraceEvent(Completion(task), (), state, noop=True))
-    return ReassignmentTrace(a0, tuple(events))
+    return Trace(a0, tuple(events))
 
 
-def rectify_assignment(a0: HmtState, slide_policy: SlidePolicy = first_corner) -> ReassignmentTrace:
+def rectify_assignment(a0: HmtState, slide_policy: SlidePolicy = first_corner) -> Trace:
     """Relocate greedily until the occupied region is left-justified and top-aligned.
 
     Each event opens the chosen idle corner of the embedded inner shape and
@@ -463,7 +476,7 @@ def rectify_assignment(a0: HmtState, slide_policy: SlidePolicy = first_corner) -
             grid[move.source.row - 1][move.source.col - 1] = None
         state = HmtState(state.shape, grid, state.capacities)
         events.append(TraceEvent(RectifyCorner(corner), relocations, state))
-    return ReassignmentTrace(a0, tuple(events))
+    return Trace(a0, tuple(events))
 
 
 def turnaround_sequential(

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import operator
 import re
 import sys
@@ -7,17 +8,17 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from random import Random
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import check_trace_legality, shape_cells, slide_until_normal, state_from_tableau
+from conftest import shape_cells, slide_until_normal, state_from_tableau
 from taquin.errors import DomainError, InvalidStateError
 from taquin.hms import (
     CapacityGrid,
     Completion,
     HmtState,
-    ReassignmentTrace,
     RectifyCorner,
     StateKind,
     TaskSet,
@@ -33,7 +34,7 @@ from taquin.hms import (
     rectify_assignment,
     turnaround_sequential,
 )
-from taquin.jsonio import decode_task_set, write_trace
+from taquin.jsonio import canonical_dumps, decode_task_set, encode_trace, write_trace
 from taquin.partitions import Cell, Partition, SkewShape
 from taquin.randgen import (
     random_hierarchical_capacities,
@@ -65,6 +66,11 @@ FIG6_C = HmtState.of(
 
 def grid(state):
     return [list(row) for row in state.occupancy]
+
+
+def verify(trace) -> None:
+    """Check the trace's printed JSON against the paper's relocation rule."""
+    oracles.verify_trace(json.loads(canonical_dumps(encode_trace(trace))))
 
 
 # --- capacity grids ---------------------------------------------------------
@@ -254,7 +260,7 @@ def test_reassignment_sequence_reproduces_full_example():
     assert trace.events[-1].noop and trace.events[-1].relocations == ()
     assert trace.events[-1].trigger == Completion(9)
     assert all(not event.noop for event in trace.events[:-1])
-    check_trace_legality(trace)
+    verify(trace)
     for state in trace.states:
         assert classify_state(state) == (StateKind.STANDARD, ShapeKind.NORMAL)
         assert descent_pairs(state) == ()
@@ -302,6 +308,31 @@ def test_reassignment_sequence_error_messages():
 def test_reassign_on_completion_rejects_bool_task_id():
     with pytest.raises(DomainError):
         reassign_on_completion(FIG3_A0, True)
+
+
+PARTIAL_2X2 = HmtState.of((2, 2), [[1, 2], [3, None]])
+LOOKUPS = [0, -1, 4, 9, 10, 11, 99, 2**70, True, False, 1.0, 3.0, "1", None, [1]]
+
+
+@pytest.mark.parametrize("state", [FIG3_A0, PARTIAL_2X2], ids=["full-3x3", "partial-2x2"])
+@pytest.mark.parametrize("task", LOOKUPS, ids=repr)
+def test_reassign_on_completion_finds_exactly_the_assigned_task_ids(state, task):
+    """Idle and padding cells of the slide's grid hold m + 1 (10 and 4 here): never a task."""
+    if type(task) is int and any(task in row for row in state.occupancy):
+        assert reassign_on_completion(state, task) == oracles.reassign_on_completion(state, task)
+        return
+    with pytest.raises(DomainError) as caught:
+        reassign_on_completion(state, task)
+    assert type(caught.value) is DomainError
+    assert str(caught.value) == f"task {task!r} is not assigned"
+
+
+@pytest.mark.parametrize("state,task,cell", [(FIG3_A0, 9, (3, 3)), (PARTIAL_2X2, 3, (2, 1))])
+def test_completing_a_task_with_no_right_or_below_neighbour_moves_nothing(state, task, cell):
+    after, moves = reassign_on_completion(state, task)
+    assert moves == ()
+    assert after.occupancy[cell[0] - 1][cell[1] - 1] is None
+    assert grid(after) == [[None if t == task else t for t in row] for row in state.occupancy]
 
 
 def test_priority_order_completion_keeps_smallest_on_top():
@@ -404,14 +435,14 @@ def test_evacuation_is_rotation_and_involution_at_60_by_60():
     check_evacuation(HmtState(shape, random_standard_filling(Random(60), SkewShape(shape)).rows))
 
 
-def assert_untouched_rows_shared(trace, holes) -> None:
+def assert_untouched_rows_shared(initial, events, holes) -> None:
     """Each event's state shares, as the same object, every row its cascade did not touch.
 
     A cascade touches the row of the cell it opens (``holes``, one per event)
     and the rows of each relocation's source and destination.
     """
-    before = trace.initial
-    for event, hole in zip(trace.events, holes, strict=True):
+    before = initial
+    for event, hole in zip(events, holes, strict=True):
         touched = {hole.row} | {c.row for m in event.relocations for c in (m.source, m.dest)}
         for row, (old, new) in enumerate(zip(before.occupancy, event.state.occupancy), start=1):
             assert row in touched or new is old, (event, row)
@@ -428,18 +459,17 @@ def test_snapshots_share_the_rows_a_cascade_does_not_touch(rows, cols, seed, wit
     order = rng.sample(range(1, a0.task_count + 1), a0.task_count)
     trace = reassignment_sequence(a0, order)
     holes = [state.cell_of(event.trigger.task) for event, state in zip(trace.events, trace.states)]
-    assert_untouched_rows_shared(trace, holes)
+    assert_untouched_rows_shared(trace.initial, trace.events, holes)
     assert trace.events[-1].noop and trace.events[-1].state is trace.states[-1]
 
     after, moves = reassign_on_completion(a0, order[0])
-    assert_untouched_rows_shared(
-        ReassignmentTrace(a0, (TraceEvent(Completion(order[0]), moves, after),)),
-        [a0.cell_of(order[0])],
-    )
+    events = (TraceEvent(Completion(order[0]), moves, after),)
+    assert_untouched_rows_shared(a0, events, [a0.cell_of(order[0])])
 
     skew = SkewShape(mesh, random_subpartition(rng, mesh))
     trace = rectify_assignment(HmtState(mesh, random_standard_filling(rng, skew).rows, caps))
-    assert_untouched_rows_shared(trace, [event.trigger.corner for event in trace.events])
+    corners = [event.trigger.corner for event in trace.events]
+    assert_untouched_rows_shared(trace.initial, trace.events, corners)
 
 
 # --- rectification -----------------------------------------------------------
@@ -455,7 +485,7 @@ def test_rectify_assignment_reproduces_comparison_example():
         [8, None, None, None],
     ]
     assert [tuple(e.trigger.corner) for e in trace.events] == [(2, 2), (1, 2), (2, 1), (1, 1)]
-    check_trace_legality(trace)
+    verify(trace)
     for state in trace.states:
         assert classify_state(state)[0] is StateKind.STANDARD
         assert descent_pairs(state) == ()
@@ -529,8 +559,8 @@ def test_random_traces_relocate_legally():
         state = random_standard_assignment(rng, min_tasks=2)
         completions = sorted(state.task_cells())
         rng.shuffle(completions)
-        check_trace_legality(reassignment_sequence(state, completions))
-        check_trace_legality(rectify_assignment(random_skew_assignment(rng)))
+        verify(reassignment_sequence(state, completions))
+        verify(rectify_assignment(random_skew_assignment(rng)))
 
 
 def test_threads_reading_one_trace_share_its_events():

@@ -4,6 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 from random import Random
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,6 @@ from taquin.errors import DomainError, ResourceLimitError
 from taquin.hms import (
     Completion,
     HmtState,
-    ReassignmentTrace,
     RectifyCorner,
     TraceEvent,
     default_capacity_grid,
@@ -162,7 +162,7 @@ def decode_cell(obj) -> Cell:
     return Cell(_expect_int(pair[0], "row"), _expect_int(pair[1], "col"))
 
 
-def decode_trace(obj) -> ReassignmentTrace:
+def decode_trace(obj) -> oracles.Trace:
     """A trace from its canonical JSON, every event's state decoded and checked on its own."""
     data = _expect_object(obj, "trace")
     initial = decode_hmt_state(data.get("initial"))
@@ -185,14 +185,14 @@ def decode_trace(obj) -> ReassignmentTrace:
         if not isinstance(noop, bool):
             raise DomainError(f"noop must be true or false, got {noop!r}")
         events.append(TraceEvent(trigger, tuple(moves), decode_hmt_state(entry.get("state")), noop))
-    return ReassignmentTrace(initial, tuple(events))
+    return oracles.Trace(initial, tuple(events))
 
 
 def test_trace_roundtrip():
     a0 = HmtState.of((3, 3, 3), [[1, 2, 4], [3, 5, 7], [6, 8, 9]])
     trace = reassignment_sequence(a0, (1, 3, 2, 5, 8, 4, 6, 7, 9))
     encoded = encode_trace(trace)
-    assert decode_trace(encoded) == trace
+    assert decode_trace(encoded) == (trace.initial, trace.events)
     assert encoded["events"][0]["trigger"] == {"completed": 1}
     assert encoded["events"][0]["relocations"][0] == {"task": 2, "from": [1, 2], "to": [1, 1]}
     assert encoded["events"][-1]["noop"] is True
@@ -248,11 +248,23 @@ def test_write_trace_matches_canonical_dumps(trace):
     assert writes == len(trace.events) + 1
 
 
+# The state fixture and completions (None: a rectification) behind each golden "trace".
+GOLDEN_TRACES = {
+    "fig3-reassignment-sequence": ("fig3_initial.json", figures.FIG3_COMPLETIONS),
+    "fig4-rectify-t1": ("fig4_t1.json", None),
+    "fig4-rectify-t2": ("fig4_t2.json", None),
+    "fig6-greedy-rectification": ("fig6c.json", None),
+}
+
+
 def fixture_traces():
-    for name in figures.FIGURES:
-        golden = json.loads(figures.golden_text(name))
-        if "trace" in golden:
-            yield name, decode_trace(golden["trace"])
+    """The library's traces of the golden scenarios, then of every bundled state that has one."""
+    for name, (fixture, completions) in GOLDEN_TRACES.items():
+        state = figures.load_state_fixture(fixture)
+        if completions is None:
+            yield name, rectify_assignment(state)
+        else:
+            yield name, reassignment_sequence(state, completions)
     for path in sorted((Path(figures.__file__).parent / "fixtures" / "states").glob("*.json")):
         state = decode_hmt_state(json.loads(path.read_text(encoding="utf-8")))
         for label, build in (
@@ -266,10 +278,15 @@ def fixture_traces():
 
 
 def test_write_trace_matches_canonical_dumps_on_goldens_and_fixtures():
+    goldens = {name: json.loads(figures.golden_text(name)) for name in figures.FIGURES}
+    assert {name for name, golden in goldens.items() if "trace" in golden} == set(GOLDEN_TRACES)
     names = []
     for name, trace in fixture_traces():
         names.append(name)
-        assert written(trace)[0] == canonical_dumps(encode_trace(trace)), name
+        text = written(trace)[0]
+        assert text == canonical_dumps(encode_trace(trace)), name
+        if name in GOLDEN_TRACES:
+            assert text == canonical_dumps(goldens[name]["trace"]), name
     assert {"fig3-reassignment-sequence", "fig6-greedy-rectification"} <= set(names)
     assert "fig6c.json-rectify" in names and "fig3_initial.json-completions" in names
 

@@ -50,7 +50,7 @@ def check_mesh(state: HmtState, order: list[int] | None = None) -> None:
     else:
         trace = hms.reassignment_sequence(state, order)
         oracle = oracles.reassignment_sequence(state, order)
-    assert trace == oracle
+    assert (trace.initial, trace.events) == oracle
     oracles.verify_trace(json.loads(canonical_dumps(encode_trace(trace))))
 
 
