@@ -10,13 +10,14 @@ are immutable snapshots; every function returns new values.
 from __future__ import annotations
 
 import sys
+from bisect import bisect
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import count
-from math import gcd
-from operator import lt, truediv
-from typing import Iterable, NamedTuple
+from itertools import accumulate, chain, compress, count, repeat
+from math import gcd, lcm
+from operator import floordiv, lt, mul, truediv
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, InvalidStateError, ResourceLimitError, ShapeError
 from .jdt import Relocation, _cell_table, _pad, _rectify_slides, _relocations, _replay, _slide
@@ -209,6 +210,11 @@ class ReassignmentTrace:
     def __init__(self, initial: HmtState, kind: type, args: list, log: list[int], ends: list[int]):
         vars(self).update(initial=initial, _kind=kind, _args=args, _log=log, _ends=ends)
 
+    def replay(self) -> Iterator[tuple[type, object, list[int], tuple]]:
+        """Each event's trigger kind and argument, its log entries and the rows after it."""
+        steps = _replay(self.initial.occupancy, self._log, self._ends)
+        return ((self._kind, arg, log, rows) for arg, (log, rows) in zip(self._args, steps))
+
     @property
     def events(self) -> tuple[TraceEvent, ...]:
         # Not ``cached_property``, which takes no lock since Python 3.12: the first tuple stored wins.
@@ -216,9 +222,9 @@ class ReassignmentTrace:
             return vars(self)["events"]
         a0, state, events = self.initial, self.initial, []
         cells = _cell_table(a0.occupancy)
-        for arg, (log, rows) in zip(self._args, _replay(a0.occupancy, self._log, self._ends)):
+        for kind, arg, log, rows in self.replay():
             state = a0._snapshot(rows) if log else state
-            events.append(TraceEvent(self._kind(arg), _relocations(log, cells), state, not log))
+            events.append(TraceEvent(kind(arg), _relocations(log, cells), state, not log))
         return vars(self).setdefault("events", tuple(events))
 
     @property
@@ -359,6 +365,34 @@ class TurnaroundReport:
         return vars(self).setdefault("per_task", self._runs())
 
 
+def _exact_sum(ps: list[int], qs: list[int], d: int, c: int) -> tuple[int, int]:
+    """The sum of p/q times d/c as (numerator, denominator), stopping where a per-term sum does.
+
+    Terms are positive and a prefix's lcm divides its run's, so no partial sum in a run passes
+    what ``str`` prints (a digit is under 10/3 bits; 0: no limit) if the run's scaled end does
+    not; from a run that does, terms are added one at a time and reduced past the limit.
+    """
+    digits = getattr(sys, "get_int_max_str_digits", int)()
+    bits, ends, num, den, i = digits * 10 // 3, [0, *accumulate(map(int.bit_length, qs))], 0, 1, 0
+    while i < len(qs):
+        # The longest run whose denominators' bits fit beside the sum's: ``den`` if none fits.
+        j = bisect(ends, ends[i] + bits - den.bit_length()) - 1 if digits else len(qs)
+        run = lcm(den, *qs[i:j])
+        top = num * (run // den) + sum(map(mul, ps[i:j], map(floordiv, repeat(run), qs[i:j])))
+        if j <= i or digits and max(top * d, run * c).bit_length() > bits:
+            break
+        num, den, i = top, run, j
+    num, den = num * d, den * c
+    for p, q in zip(map(mul, ps[i:], repeat(d)), map(mul, qs[i:], repeat(c))):
+        g = gcd(den, q)
+        num, den = num * (q // g) + p * (den // g), den * (q // g)
+        if max(num, den).bit_length() > bits:
+            num, den = Fraction(num, den).as_integer_ratio()
+            if max(num, den).bit_length() > bits:
+                raise ResourceLimitError(f"a turnaround sum has over {digits} digits to print")
+    return num, den
+
+
 def turnaround_sequential(
     a0: HmtState,
     tasks: TaskSet,
@@ -370,35 +404,30 @@ def turnaround_sequential(
     Each duration is requirement/capacity at the cell the task occupies when
     it starts: its initial cell, or with ``relocate`` (cost-free cascades)
     always (1,1), the fastest processor, because each cascade is a jeu de
-    taquin slide and keeps the state standard and of normal shape.
+    taquin slide and keeps the state standard and of normal shape.  Requirement
+    a/b on rate c/d adds a*d/(b*c); with relocation one rate scales the sum of a/b.
     """
     if caps.shape != a0.shape:
         raise DomainError("capacity grid shape differs from state shape")
     _require_standard_normal(a0, "turnaround_sequential")
-    rows = zip(a0.occupancy, caps.rates)
-    rate_of = {task: rate for row, rates in rows for task, rate in zip(row, rates) if task}
-    m = len(rate_of)
-    if max(rate_of, default=0) != m:  # m distinct positive IDs are 1..m when m is the largest
+    flat = list(chain.from_iterable(a0.occupancy))
+    ids = list(filter(None, flat))
+    m = len(ids)
+    if max(ids, default=0) != m:  # m distinct positive IDs are 1..m when m is the largest
         raise DomainError("assigned tasks must be exactly 1..m")
     if tasks.m != m:
         raise DomainError(f"need requirements for exactly {m} tasks, got {tasks.m}")
-    # With relocation every task starts on (1,1), where a standard normal state holds task 1.
-    starts = [1] * m if relocate else range(1, m + 1)
-    rates = [rate_of[start] for start in starts]
-
-    # Requirement a/b on rate c/d adds a*d / (b*c) over the lcm of the terms'
-    # denominators so far.  A reduced partial sum's denominator divides that
-    # lcm, so reducing only once a part passes what ``str`` prints (a digit is
-    # under 10/3 bits; 0: no limit) stops on exactly the sums that pass it.
-    digits, num, den = getattr(sys, "get_int_max_str_digits", int)(), 0, 1
-    for requirement, rate in zip(tasks.requirements, rates):
-        p, q = requirement.numerator * rate.denominator, requirement.denominator * rate.numerator
-        g = gcd(den, q)
-        num, den = num * (q // g) + p * (den // g), den * (q // g)
-        if digits and max(num, den).bit_length() > digits * 10 // 3:
-            num, den = Fraction(num, den).as_integer_ratio()
-            if max(num, den).bit_length() > digits * 10 // 3:
-                raise ResourceLimitError(f"a turnaround sum has over {digits} digits to print")
+    rates = list(compress(chain.from_iterable(caps.rates), flat))  # in row-major order
+    a, b = tuple(zip(*map(Fraction.as_integer_ratio, tasks.requirements))) or ((), ())
+    if relocate:  # every task starts on (1,1), where a standard normal state holds task 1
+        starts, rates = [1] * m, rates[:1] * m
+        c, d = rates[0].as_integer_ratio() if m else (1, 1)
+        num, den = _exact_sum(a, b, d, c)
+    else:
+        starts = range(1, m + 1)
+        rates = list(map(rates.__getitem__, sorted(range(m), key=ids.__getitem__)))
+        c, d = tuple(zip(*map(Fraction.as_integer_ratio, rates))) or ((), ())
+        num, den = _exact_sum(list(map(mul, a, d)), list(map(mul, b, c)), 1, 1)
 
     def runs() -> tuple[TaskRun, ...]:
         durations = map(truediv, tasks.requirements, rates)

@@ -23,7 +23,7 @@ from .hms import (
     RectifyCorner,
     TaskSet,
 )
-from .jdt import Relocation, _cell_table, _moves, _replay
+from .jdt import Relocation, _cell_table, _moves
 from .partitions import Cell, Partition, SkewShape
 from .rsk import Permutation
 from .tableaux import Tableau
@@ -260,29 +260,30 @@ def _row_text(row: Sequence[int | None], indent: int) -> str:
 def write_trace(trace: ReassignmentTrace, write: Callable[[str], object]) -> None:
     """Write ``canonical_dumps(encode_trace(trace))`` through ``write``, one call per event.
 
-    The text is rendered from the trace's move log (``jdt._replay``, its moves
-    read by ``jdt._moves``), with new text only for the rows an event rewrote
+    The text is rendered from the trace's move log (``ReassignmentTrace.replay``,
+    its moves read by ``jdt._moves``), with new text only for the rows an event rewrote
     and no snapshot or relocation built.
     """
-    a0, trigger = trace.initial, _TRIGGER[trace._kind]
+    a0 = trace.initial
     cells, rows, frame = _cell_table(a0.occupancy), a0.occupancy, _state_frame(a0, 6)
     texts = [_row_text(row, 10) for row in rows]
     separator = '{\n  "events": [\n    '
-    for arg, (log, after) in zip(trace._args, _replay(rows, trace._log, trace._ends)):
+    for kind, arg, log, after in trace.replay():
         texts = [t if row is old else _row_text(row, 10) for t, old, row in zip(texts, rows, after)]
         rows = after
         moves = [_RELOCATION % (*cells[src], task, *cells[dst]) for task, src, dst in _moves(log)]
         fields = [
             ("relocations", _array(moves, 6)),
             ("state", _array(texts, 8).join(frame)),
-            ("trigger", trigger % arg),
+            ("trigger", _TRIGGER[kind] % arg),
         ]
         if not log:
             fields.insert(0, ("noop", "true"))
         write(separator + _object(fields, 4))
         separator = ",\n    "
     initial = _array([_row_text(row, 6) for row in a0.occupancy], 4).join(_state_frame(a0, 2))
-    events_end = '{\n  "events": []' if not trace._ends else "\n  ]"
+    # No event written: ``separator`` still opens the document.
+    events_end = '{\n  "events": []' if separator[0] == "{" else "\n  ]"
     write(events_end + ',\n  "initial": ' + initial + "\n}\n")
 
 

@@ -4,8 +4,8 @@ Each case takes a bundled state, golden tableaux, or a requirement or capacity
 file made to fit its state, and mutates one of them up to three times: it
 drops, repeats (a key, too) or wraps a field, or swaps in ``None``, a bool, a
 float, a huge or negative integer, a 5000-digit string or nested lists.  Every
-run must return 0, 1 or 2; a 2 comes with exactly one ``error:`` line on
-stderr, and no exception escapes ``main``.
+run must return 0, 1 or 2 within 2 s; a 2 comes with exactly one ``error:``
+line on stderr, and no exception escapes ``main``.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from typing import NamedTuple
@@ -148,8 +149,10 @@ def test_mutated_inputs_exit_0_1_or_2_with_one_error_line(tmp_path_factory, case
         (folder / f"{name}.json").write_text(text(value), encoding="utf-8")
     argv = [arg.format(**{name: str(folder / f"{name}.json") for name in files}) for arg in argv]
     out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
+    assert time.perf_counter() - start < 2.0, argv  # huge ints must not make a sum run long
     assert code in (0, 1, 2)
     if code == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

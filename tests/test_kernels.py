@@ -11,9 +11,11 @@ random draws, same error messages.
 from __future__ import annotations
 
 import gc
+import math
 import sys
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from random import Random
 
 import oracles
@@ -212,6 +214,11 @@ def big_digit_capacities(rng: Random, shape: Partition, digits: int) -> Capacity
     return CapacityGrid(shape, tuple(map(tuple, rates)))
 
 
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no printable-digit limit"
+)
+
+
 def total_or_limit(turnaround, *args):
     """The total of ``turnaround(*args)``, or the message of the resource limit it hits."""
     try:
@@ -240,6 +247,86 @@ def test_turnaround_stops_where_the_fraction_sum_does(state, seed, digits):
             assert new == total_or_limit(oracles.turnaround_sequential, *args)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@needs_digit_limit
+@settings(max_examples=30, deadline=None)
+@given(normal_meshes(max_side=6), SEEDS, st.integers(1, 200))
+def test_turnaround_without_a_digit_limit_matches_oracle(state, seed, digits):
+    """With no limit (0, or an interpreter that predates it), the whole sum is one exact run."""
+    rng = Random(seed)
+    caps = big_digit_capacities(rng, state.shape, rng.randint(1, digits))
+    top = 10**digits
+    tasks = TaskSet(tuple(
+        Fraction(rng.randrange(1, top), rng.randrange(1, top)) for _ in range(state.task_count)
+    ))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for relocate in (False, True):
+            args = state, tasks, caps, relocate
+            assert hms.turnaround_sequential(*args) == oracles.turnaround_sequential(*args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+BITS = 640 * 10 // 3  # the most bits a part may have under a 640-digit limit
+
+
+def counted(calls: list[int], f, *args):
+    calls.append(len(args))
+    return f(*args)
+
+
+def relocation_sum(monkeypatch, requirements: list[Fraction]):
+    """Under a 640-digit limit, on a 1 x m mesh with default capacities (rate 1 at (1,1)): the
+    relocation sum's total or limit message, and the argument counts of its ``lcm`` calls (one
+    a run) and ``gcd`` calls (one a term added alone).  Both modes must match the oracle."""
+    a0 = HmtState.of((len(requirements),), [range(1, len(requirements) + 1)])
+    args = a0, TaskSet(tuple(requirements)), hms.default_capacity_grid(a0.shape)
+    calls: dict[str, list[int]] = {"lcm": [], "gcd": []}
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for relocate in (False, True):
+            oracle = total_or_limit(oracles.turnaround_sequential, *args, relocate)
+            for name, log in calls.items():
+                log.clear()
+                monkeypatch.setattr(hms, name, partial(counted, log, getattr(math, name)))
+            total = total_or_limit(hms.turnaround_sequential, *args, relocate)
+            assert total == oracle
+    finally:
+        sys.set_int_max_str_digits(limit)
+    return total, calls
+
+
+@needs_digit_limit
+def test_turnaround_run_ending_exactly_at_the_limit(monkeypatch):
+    # Beside the empty sum's 1-bit denominator, four 533-bit ones fill the first run's budget,
+    # and its numerator 4 * (2^(BITS-2) - 1) has exactly BITS bits: no term is added alone.
+    big, small = Fraction(2 ** (BITS - 2) - 1, 2**532), Fraction(1, 2**532)
+    assert 1 + 4 * 533 == BITS
+    total, calls = relocation_sum(monkeypatch, [big] * 4 + [small] * 3)
+    assert calls == {"lcm": [5, 4], "gcd": []}
+    assert total == Fraction(2**BITS - 1, 2**532)
+
+
+@needs_digit_limit
+def test_turnaround_run_past_the_limit_whose_reduced_sum_prints(monkeypatch):
+    # x/3 + y/3 = 3z/3: the run's end 3z has BITS + 1 bits, the reduced sum z has BITS.
+    x, y = 2**BITS - 1, 2 ** (BITS - 1) + 4
+    total, calls = relocation_sum(monkeypatch, [Fraction(x, 3), Fraction(y, 3)])
+    assert calls == {"lcm": [3], "gcd": [2, 2]}
+    assert total == 2 ** (BITS - 1) + 1 == (x + y) // 3
+
+
+@needs_digit_limit
+def test_turnaround_stops_in_the_middle_of_a_run(monkeypatch):
+    # One run of five thirds; the third partial sum, (2^(BITS+1) + 3)/3, is in lowest terms.
+    third, past = Fraction(1, 3), Fraction(2 ** (BITS + 1) + 1, 3)
+    total, calls = relocation_sum(monkeypatch, [third, third, past, third, third])
+    assert calls == {"lcm": [6], "gcd": [2, 2, 2]}
+    assert total == (ResourceLimitError, "a turnaround sum has over 640 digits to print")
 
 
 @settings(max_examples=60, deadline=None)
