@@ -162,7 +162,7 @@ def maximally_embedded(state: HmtState) -> tuple[SkewShape, Tableau]:
         shape = _skew_shape_of_rows(filled)
     except ShapeError as exc:
         raise InvalidStateError(f"occupied cells do not form a tableau region: {exc}") from exc
-    return shape, Tableau(shape, tuple(row[:n] for row, n in zip(rows, shape.outer.parts)))
+    return shape, Tableau._of(shape, tuple(row[:n] for row, n in zip(rows, shape.outer.parts)))
 
 
 def classify_state(state: HmtState) -> tuple[StateKind, ShapeKind]:

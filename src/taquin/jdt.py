@@ -18,7 +18,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DomainError
 from .partitions import Cell, Partition, SkewShape, inner_corners, outer_corners
-from .tableaux import Tableau, is_partial
+from .tableaux import Tableau, _normal, is_partial
 
 
 class Relocation(NamedTuple):
@@ -127,8 +127,8 @@ def forward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[R
         raise DomainError(f"{start} is not an inner corner of {p.shape.inner.parts}")
     rows, end, moves = _slide_rows(p.rows, start, 1)
     shape = SkewShape(p.shape.outer.remove_corner(end), p.shape.inner.remove_corner(start))
-    rows = [row[:n] for row, n in zip(rows, shape.outer.parts)]  # drop the vacated cell
-    return Tableau(shape, rows), end, moves
+    rows = tuple(row[:n] for row, n in zip(rows, shape.outer.parts))  # drop the vacated cell
+    return Tableau._of(shape, rows), end, moves
 
 
 def backward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[Relocation, ...]]:
@@ -141,7 +141,7 @@ def backward_slide_trace(p: Tableau, start: Cell) -> tuple[Tableau, Cell, tuple[
     rows[start.row - 1] += (None,)
     rows, end, moves = _slide_rows(tuple(rows), start, -1)
     shape = SkewShape(p.shape.outer.add_corner(start), p.shape.inner.add_corner(end))
-    return Tableau(shape, rows), end, moves
+    return Tableau._of(shape, rows), end, moves
 
 
 def _rectify_slides(flat: list[int], w: int, inner: Partition, log: list, ends: list) -> list[Cell]:
@@ -166,7 +166,7 @@ def rectify(p: Tableau) -> Tableau:
     flat, w = _pad(p.rows)
     _rectify_slides(flat, w, p.shape.inner, [], [])
     rows = [[e for e in flat[k : k + w] if e != flat[-1]] for k in range(0, len(flat) - w, w)]
-    return Tableau.normal([row for row in rows if row])
+    return _normal(row for row in rows if row)
 
 
 def jdt_equivalent(p1: Tableau, p2: Tableau) -> bool:

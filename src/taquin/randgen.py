@@ -63,7 +63,7 @@ def random_standard_filling(rng: Random, shape: SkewShape) -> Tableau:
         i = frontier[rng.randrange(len(frontier))]
         rows[i][ends[i]] = value
         ends[i] += 1
-    return Tableau(shape, rows)
+    return Tableau._of(shape, tuple(map(tuple, rows)))
 
 
 def _place(filling: Tableau, rows: int, cols: int) -> HmtState:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .tableaux import Tableau, _bump, _unbump, is_standard
+from .tableaux import Tableau, _bump, _normal, _unbump, is_standard
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ def rsk(pi: Permutation) -> tuple[Tableau, Tableau]:
             q_rows.append([k])
         else:
             q_rows[i].append(k)
-    return Tableau.normal(p_rows), Tableau.normal(q_rows)
+    return _normal(p_rows), _normal(q_rows)
 
 
 def rsk_inverse(p: Tableau, q: Tableau) -> Permutation:
@@ -57,8 +57,9 @@ def rsk_inverse(p: Tableau, q: Tableau) -> Permutation:
     row_by_step = {step: cell.row - 1 for cell, step in q.to_cell_map().items()}
     rows = [list(row) for row in p.rows]
     word = [_unbump(rows, row_by_step[k]) for k in range(p.size, 0, -1)]
-    word.reverse()
-    return Permutation(tuple(word))
+    pi = object.__new__(Permutation)  # unchecked: a standard pair's word is a permutation
+    vars(pi).update(word=tuple(reversed(word)))
+    return pi
 
 
 def knuth_equivalent(pi: Permutation, tau: Permutation) -> bool:

@@ -2,7 +2,8 @@
 
 A ``Tableau`` stores the full outer grid row-major, with ``None`` marking the
 cells of the inner shape.  Entries are distinct positive integers but are not
-required to be 1..n, so mid-insertion states are first-class values.
+required to be 1..n, so mid-insertion states are first-class values.  A tableau is
+checked where it enters; results built from checked ones come from the unchecked ``Tableau._of``.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import zip_longest
+from operator import itemgetter, lt
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, TableauError
@@ -76,6 +79,13 @@ class Tableau:
                     raise TableauError(f"cell ({i},{j}) lies outside the shape but holds {entry!r}")
 
     @classmethod
+    def _of(cls, shape: SkewShape, rows: tuple[tuple[int | None, ...], ...]) -> Tableau:
+        """``rows`` on ``shape``, unchecked: rows built from a checked tableau, word or shape."""
+        tableau = object.__new__(cls)
+        vars(tableau).update(shape=shape, rows=rows)
+        return tableau
+
+    @classmethod
     def normal(cls, rows: Sequence[Sequence[int]]) -> Tableau:
         """Build a normal-shape tableau from its entry rows."""
         shape = SkewShape(Partition(tuple(len(row) for row in rows)))
@@ -116,11 +126,17 @@ class Tableau:
         return dict(_cells(self.rows))
 
 
+def _normal(rows: Iterable[Iterable[int]]) -> Tableau:
+    """``Tableau.normal(rows)`` unchecked, for rows built from a checked tableau or word."""
+    rows = tuple(map(tuple, rows))
+    return Tableau._of(SkewShape(Partition(tuple(map(len, rows)))), rows)
+
+
 def _descents(rows: Sequence[Sequence[int | None]]) -> Iterator[tuple[Cell, Cell]]:
     """Adjacent filled cells of a grid of rows whose second entry is not the larger.
 
     Each pair is (left-or-upper cell, right-or-lower cell), in row-major order
-    with a cell's right neighbour before the one below it.
+    with a cell's right neighbour before the one below it, for ``hms.descent_pairs``.
     """
     # Indices rather than ``_cells``: a Cell is built only for a pair that is yielded.
     for i, row in enumerate(rows, start=1):
@@ -136,23 +152,29 @@ def _descents(rows: Sequence[Sequence[int | None]]) -> Iterator[tuple[Cell, Cell
 
 
 def is_partial(t: Tableau) -> bool:
-    """True when entries strictly increase along every row and column."""
-    return next(_descents(t.rows), None) is None
+    """True when entries strictly increase along every row and column: in one pass, each row's
+    cells past the inner shape increase and, from the row above's first filled column, exceed it."""
+    above, start = (), 0
+    for row, skip in zip_longest(t.rows, t.shape.inner.parts, fillvalue=0):
+        filled = row[skip:]
+        if not (all(map(lt, filled, filled[1:])) and all(map(lt, above[start:], row[start:]))):
+            return False
+        above, start = row, skip
+    return True
 
 
 def is_standard(t: Tableau) -> bool:
-    """True when the tableau is partial and its entries are exactly 1..n."""
-    return is_partial(t) and t.entries == frozenset(range(1, t.size + 1))
+    """True when the tableau is partial and its entries, distinct and positive, are 1..n:
+    its largest, which ends a row (a row inside the inner shape ends in None), is n."""
+    return is_partial(t) and max(filter(None, map(itemgetter(-1), t.rows)), default=0) == t.size
 
 
 def classify(t: Tableau) -> tuple[FillKind, ShapeKind]:
     """The strongest fill class of ``t`` and whether its shape is normal or skew."""
     form = ShapeKind.NORMAL if t.shape.is_normal else ShapeKind.SKEW
-    if not is_partial(t):
-        return FillKind.GENERALIZED, form
-    if t.entries == frozenset(range(1, t.size + 1)):
+    if is_standard(t):
         return FillKind.STANDARD, form
-    return FillKind.PARTIAL, form
+    return (FillKind.PARTIAL if is_partial(t) else FillKind.GENERALIZED), form
 
 
 def _require_normal_partial(t: Tableau, op: str) -> None:
@@ -194,12 +216,12 @@ def row_insert(p: Tableau, x: int) -> tuple[Tableau, Cell]:
     _require_normal_partial(p, "row_insert")
     if not isinstance(x, int) or isinstance(x, bool) or x < 1:
         raise DomainError(f"can only insert positive integers, got {x!r}")
-    if x in p.entries:
+    if any(x in row for row in p.rows):
         raise DomainError(f"entry {x} already present")
 
     rows = [list(row) for row in p.rows]
     i = _bump(rows, x)
-    return Tableau.normal(rows), Cell(i + 1, len(rows[i]))
+    return _normal(rows), Cell(i + 1, len(rows[i]))
 
 
 def reverse_bump(p: Tableau, cell: Cell) -> tuple[Tableau, int]:
@@ -211,7 +233,7 @@ def reverse_bump(p: Tableau, cell: Cell) -> tuple[Tableau, int]:
 
     rows = [list(row) for row in p.rows]
     value = _unbump(rows, cell.row - 1)
-    return Tableau.normal(rows), value
+    return _normal(rows), value
 
 
 def reading_word(t: Tableau) -> tuple[int, ...]:

@@ -39,7 +39,7 @@ from taquin.hms import (
 )
 from taquin.partitions import Cell, Partition, SkewShape, inner_corners, outer_corners
 from taquin.rsk import Permutation
-from taquin.tableaux import ShapeKind, Tableau, _at, _cells, is_standard
+from taquin.tableaux import ShapeKind, Tableau, _at, _cells
 
 # The library always opens the first inner corner; the oracles still take any order.
 SlidePolicy = Callable[[Sequence[Cell]], Cell]
@@ -77,6 +77,11 @@ def is_partial(t: Tableau) -> bool:
             if below is not None and below <= entry:
                 return False
     return True
+
+
+def is_standard(t: Tableau) -> bool:
+    """True when the tableau is partial and its entries are exactly 1..n."""
+    return is_partial(t) and t.entries == frozenset(range(1, t.size + 1))
 
 
 def descent_pairs(state: HmtState) -> tuple[tuple[Cell, Cell], ...]:

@@ -1,9 +1,11 @@
 """Differential tests: the shared kernels against the loop-per-function oracles.
 
 Every public function built on ``tableaux._descents``, ``jdt._slide`` or
-``tableaux._bump`` must agree with its earlier implementation in
-``oracles.py``: same results, same descent pairs, slide steps and relocations
-in the same order, same trace states.  The row-grid random filling and region
+``tableaux._bump``, and the one-pass ``is_partial`` and ``is_standard``, must
+agree with its earlier implementation in ``oracles.py``: same results, same
+descent pairs, slide steps and relocations in the same order, same trace
+states.  Every tableau the library builds unchecked (``Tableau._of``) must
+equal, hash and pickle as the checked one.  The row-grid random filling and region
 derivation must agree with the earlier cell-set versions: same values, same
 random draws, same error messages.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import gc
 import math
+import pickle
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -41,7 +44,7 @@ from taquin.randgen import (
     random_subpartition,
 )
 from taquin.rsk import Permutation, rsk, rsk_inverse
-from taquin.tableaux import Tableau, is_partial, reverse_bump, row_insert
+from taquin.tableaux import Tableau, is_partial, is_standard, reverse_bump, row_insert
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -89,7 +92,12 @@ def policies(seed: int):
 def generalized_fillings(draw, rows: int = 8, cols: int = 8) -> Tableau:
     """A random skew shape holding 1..size in any order, so rows and columns may descend."""
     shape = draw(skew_shapes(rows, cols))
-    entries = iter(draw(st.permutations(range(1, shape.size + 1))))
+    return fill(shape, draw(st.permutations(range(1, shape.size + 1))))
+
+
+def fill(shape: SkewShape, word) -> Tableau:
+    """``shape`` holding ``word`` in row-major order."""
+    entries = iter(word)
     grid = [
         [None if j <= shape.inner.row_len(i) else next(entries) for j in range(1, length + 1)]
         for i, length in enumerate(shape.outer.parts, start=1)
@@ -115,6 +123,79 @@ def test_descent_walk_matches_oracle_on_tableaux(t):
     # Column compaction can leave an occupied region that is not a skew shape.
     for mesh in (state, hms.naive_slide_up(state)):
         assert hms.descent_pairs(mesh) == oracles.descent_pairs(mesh)
+
+
+@st.composite
+def skew_shapes_ending_inside(draw, rows: int = 8, cols: int = 8) -> SkewShape:
+    """A skew shape whose last rows lie wholly inside its inner shape, so they end in None."""
+    outer = draw(partitions_in_box(rows, cols, min_cells=1))
+    cut = draw(st.integers(0, outer.num_rows - 1))  # rows from ``cut`` on are inner; 0: all
+    floor = outer.parts[cut]
+    inner = [draw(st.integers(floor, part)) for part in outer.parts[:cut]] + [*outer.parts[cut:]]
+    return SkewShape(outer, Partition(tuple(sorted(inner, reverse=True))))
+
+
+@st.composite
+def gapped(draw, fillings) -> Tableau:
+    """A filling from ``fillings`` whose entries from some v on are raised by 1..5: a gap at v."""
+    t = draw(fillings)
+    v, gap = draw(st.integers(1, max(t.size, 1))), draw(st.integers(1, 5))
+    rows = [[e + gap if e is not None and e >= v else e for e in row] for row in t.rows]
+    return Tableau(t.shape, rows)
+
+
+def fillings_ending_inside():
+    return skew_shapes_ending_inside().flatmap(
+        lambda shape: st.one_of(
+            SEEDS.map(lambda seed: random_standard_filling(Random(seed), shape)),
+            st.permutations(range(1, shape.size + 1)).map(lambda word: fill(shape, word)),
+        )
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        skew_syt(),
+        generalized_fillings(),
+        fillings_ending_inside(),
+        gapped(st.one_of(skew_syt(), generalized_fillings(), fillings_ending_inside())),
+        st.just(Tableau.normal([])),
+    )
+)
+def test_one_pass_checks_match_oracle(t):
+    assert is_partial(t) == oracles.is_partial(t)
+    assert is_standard(t) == oracles.is_standard(t)
+
+
+def assert_as_checked(t: Tableau) -> None:
+    """``t``, built unchecked, equals, hashes and pickles as the same tableau built checked."""
+    checked = Tableau(t.shape, t.rows)
+    assert t == checked and hash(t) == hash(checked)
+    assert pickle.loads(pickle.dumps(t)) == checked
+
+
+@settings(max_examples=60, deadline=None)
+@given(skew_syt(), st.integers(0, 40).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_trusted_tableaux_equal_checked_ones(t, word):
+    assert_as_checked(t)  # random_standard_filling
+    for corner in inner_corners(t.shape.inner):
+        assert_as_checked(jdt.forward_slide_trace(t, corner)[0])
+    for corner in outer_corners(t.shape.outer):
+        assert_as_checked(jdt.backward_slide_trace(t, corner)[0])
+    normal = jdt.rectify(t)
+    assert_as_checked(normal)
+    assert_as_checked(hms.maximally_embedded(embed(t, len(t.rows) + 1, len(t.rows[0]) + 1))[1])
+    pi = Permutation(tuple(word))
+    p, q = rsk(pi)
+    assert_as_checked(p)
+    assert_as_checked(q)
+    assert_as_checked(row_insert(normal, 1 + t.size)[0])
+    for corner in inner_corners(normal.shape.outer):
+        assert_as_checked(reverse_bump(normal, corner)[0])
+    inverse = rsk_inverse(p, q)
+    assert inverse == Permutation(pi.word) and hash(inverse) == hash(pi)
+    assert pickle.loads(pickle.dumps(inverse)) == pi
 
 
 @settings(max_examples=100, deadline=None)

@@ -112,6 +112,14 @@ def test_rsk_inverse_rejects_bad_pairs():
         rsk_inverse(Tableau.normal([[2, 1]]), Tableau.normal([[1, 2]]))
 
 
+def test_rsk_inverse_rejects_a_tableau_that_skips_an_entry():
+    standard = Tableau.normal([[1, 2], [3]])
+    for skips in ([[1, 2], [8]], [[1, 3], [4]], [[2, 3], [4]], [[1, 4], [3]]):
+        for pair in ((Tableau.normal(skips), standard), (standard, Tableau.normal(skips))):
+            with pytest.raises(DomainError, match="both tableaux must be standard"):
+                rsk_inverse(*pair)
+
+
 def test_rsk_bijection_exhaustive_small():
     for n in range(6):
         for pi in all_permutations(n):
