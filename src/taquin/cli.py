@@ -31,7 +31,6 @@ from .jsonio import (
     canonical_dumps,
     decode_capacity_grid,
     decode_hmt_state,
-    decode_permutation,
     decode_tableau,
     decode_task_set,
     encode_cell,
@@ -47,7 +46,7 @@ from .randgen import (
     random_requirements,
     random_standard_assignment,
 )
-from .rsk import rsk, rsk_inverse
+from .rsk import Permutation, rsk, rsk_inverse
 
 DEFAULT_SEED = 1729
 SEED_ENV_VAR = "TAQUIN_SEED"
@@ -187,7 +186,7 @@ def _cmd_rsk(args: argparse.Namespace) -> int:
     elif args.perm is not None:
         word = _parse_int_list(args.perm, "--perm")
         _check_rsk_n(len(word))
-        pi = decode_permutation(list(word))
+        pi = Permutation(word)
         p, q = rsk(pi)
     else:
         raise TaquinError("rsk needs --perm or --inverse")
@@ -240,6 +239,9 @@ def _turnaround_random(args: argparse.Namespace) -> int:
 
 def _cmd_turnaround(args: argparse.Namespace) -> int:
     if args.random is not None:
+        if (args.state, args.requirements, args.capacities, args.relocate) != (None,) * 4:
+            raise TaquinError("--random takes no --state, --requirements, --capacities,"
+                              " --relocate or --no-relocate")
         return _turnaround_random(args)
     if args.state is None or args.requirements is None:
         raise TaquinError("turnaround needs --state and --requirements (or --random N)")
@@ -329,8 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=_cmd_verify_identity)
 
     rsk_cmd = sub.add_parser("rsk", help="insertion/recording tableaux of a permutation")
-    rsk_cmd.add_argument("--perm", help="comma-separated one-line notation")
-    rsk_cmd.add_argument(
+    source = rsk_cmd.add_mutually_exclusive_group()
+    source.add_argument("--perm", help="comma-separated one-line notation")
+    source.add_argument(
         "--inverse",
         nargs=2,
         metavar=("P.json", "Q.json"),

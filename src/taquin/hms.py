@@ -22,17 +22,13 @@ from typing import Iterable, Iterator, NamedTuple
 from .errors import DomainError, InvalidStateError, ResourceLimitError, ShapeError
 from .jdt import Relocation, _cell_table, _pad, _rectify_slides, _relocations, _replay, _slide
 from .jdt import _slide_rows
-from .partitions import Cell, Partition, SkewShape, _skew_shape_of_rows
+from .partitions import Cell, Partition, SkewShape, _is_positive_int, _skew_shape_of_rows
 from .tableaux import ShapeKind, Tableau, _cells, _descents, is_partial
 
 
 class StateKind(Enum):
     STANDARD = "standard"
     GENERALIZED = "generalized"
-
-
-def _is_task_id(task: object) -> bool:
-    return isinstance(task, int) and not isinstance(task, bool) and task >= 1
 
 
 def _require_canonical(shape: Partition) -> None:
@@ -116,7 +112,7 @@ class HmtState:
             for j, task in enumerate(row, start=1):
                 if task is None:
                     continue
-                if not _is_task_id(task):
+                if not _is_positive_int(task):
                     raise DomainError(f"cell ({i},{j}) holds invalid task ID {task!r}")
                 if task in seen:
                     raise DomainError(f"task {task} assigned to two cells")
@@ -141,7 +137,7 @@ class HmtState:
         return {task: cell for cell, task in _cells(self.occupancy)}
 
     def cell_of(self, task: int) -> Cell:
-        if _is_task_id(task):
+        if _is_positive_int(task):
             for cell, entry in _cells(self.occupancy):
                 if entry == task:
                     return cell
@@ -269,7 +265,7 @@ def reassign_on_completion(state: HmtState, task: int) -> tuple[HmtState, tuple[
     """
     _require_standard_normal(state, "reassign_on_completion")
     rows = state.occupancy  # only a task ID is looked up: ``True in row`` would find task 1
-    i = next((i for i, row in enumerate(rows) if task in row), -1) if _is_task_id(task) else -1
+    i = next((i for i, row in enumerate(rows) if task in row), -1) if _is_positive_int(task) else -1
     if i < 0:
         raise DomainError(f"task {task!r} is not assigned")
     after, _, moves = _slide_rows(rows, Cell(i + 1, rows[i].index(task) + 1), 1)
@@ -291,9 +287,9 @@ def reassignment_sequence(a0: HmtState, completions: Iterable[int]) -> Reassignm
     # idle and padding cells holding the sentinel ``flat[-1]``.  ``where`` maps each task to its
     # offset; the kernel stores each moved task's new one, so a cascade starts at ``where.pop``.
     where = {task: k for k, task in enumerate(flat) if task < flat[-1]}
-    missing = [task for task in completions if not _is_task_id(task) or task not in where]
+    missing = [task for task in completions if not _is_positive_int(task) or task not in where]
     # Every completion that is no task ID is missing; only task IDs are sure to be hashable.
-    if all(map(_is_task_id, missing)) and len(set(completions)) != len(completions):
+    if all(map(_is_positive_int, missing)) and len(set(completions)) != len(completions):
         raise DomainError("completion sequence repeats a task")
     if missing:
         raise DomainError(f"completion of unassigned task {missing[0]!r}")

@@ -160,9 +160,9 @@ def _rectify_slides(flat: list[int], w: int, inner: Partition, log: list, ends: 
 
 def rectify(p: Tableau) -> Tableau:
     """Forward-slide until the inner shape is empty: any order of inner corners gives this."""
+    _require_partial(p)
     if p.shape.is_normal:
         return p
-    _require_partial(p)
     flat, w = _pad(p.rows)
     _rectify_slides(flat, w, p.shape.inner, [], [])
     rows = [[e for e in flat[k : k + w] if e != flat[-1]] for k in range(0, len(flat) - w, w)]

@@ -34,12 +34,6 @@ def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _expect_int(value: Any, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise DomainError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _expect_list(value: Any, what: str) -> list:
     if not isinstance(value, list):
         raise DomainError(f"{what} must be a JSON array, got {value!r}")
@@ -77,8 +71,7 @@ def encode_partition(shape: Partition) -> list[int]:
 
 
 def decode_partition(obj: Any) -> Partition:
-    parts = _expect_list(obj, "partition")
-    return Partition(tuple(_expect_int(p, "row length") for p in parts))
+    return Partition(tuple(_expect_list(obj, "partition")))
 
 
 def encode_skew_shape(shape: SkewShape) -> dict:
@@ -89,16 +82,9 @@ def encode_cell(cell: Cell) -> list[int]:
     return [cell.row, cell.col]
 
 
-def _decode_grid(
-    obj: Any, rows_what: str, row_what: str, entry_what: str
-) -> tuple[tuple[int | None, ...], ...]:
-    return tuple(
-        tuple(
-            None if entry is None else _expect_int(entry, entry_what)
-            for entry in _expect_list(row, row_what)
-        )
-        for row in _expect_list(obj, rows_what)
-    )
+def _decode_grid(obj: Any, rows_what: str, row_what: str) -> list[list]:
+    """The rows of a grid, each a JSON array; its entries are left to the value's constructor."""
+    return [_expect_list(row, row_what) for row in _expect_list(obj, rows_what)]
 
 
 def encode_tableau(t: Tableau) -> dict:
@@ -107,7 +93,7 @@ def encode_tableau(t: Tableau) -> dict:
 
 def decode_tableau(obj: Any) -> Tableau:
     data = _expect_object(obj, "tableau")
-    grid = _decode_grid(data.get("rows", []), "tableau rows", "tableau row", "tableau entry")
+    grid = _decode_grid(data.get("rows", []), "tableau rows", "tableau row")
     return Tableau(
         SkewShape(
             decode_partition(data.get("outer", [])),
@@ -119,11 +105,6 @@ def decode_tableau(obj: Any) -> Tableau:
 
 def encode_permutation(pi: Permutation) -> list[int]:
     return list(pi.word)
-
-
-def decode_permutation(obj: Any) -> Permutation:
-    word = _expect_list(obj, "permutation")
-    return Permutation(tuple(_expect_int(x, "letter") for x in word))
 
 
 def encode_capacity_rates(caps: CapacityGrid) -> list[list[str]]:
@@ -156,7 +137,7 @@ def encode_hmt_state(state: HmtState) -> dict:
 def decode_hmt_state(obj: Any) -> HmtState:
     data = _expect_object(obj, "mesh state")
     shape = decode_partition(data.get("shape", []))
-    grid = _decode_grid(data.get("cells", []), "occupancy rows", "occupancy row", "task ID")
+    grid = _decode_grid(data.get("cells", []), "occupancy rows", "occupancy row")
     capacities = None
     if "capacities" in data and data["capacities"] is not None:
         capacities = CapacityGrid(shape, _decode_rates(data["capacities"], "capacities"))

@@ -20,6 +20,11 @@ class Cell(NamedTuple):
     col: int
 
 
+def _is_positive_int(x: object) -> bool:
+    """The one test of what a row length, a tableau entry, a task ID or a letter is."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
+
+
 @dataclass(frozen=True)
 class Partition:
     """A weakly decreasing sequence of positive row lengths.
@@ -34,7 +39,7 @@ class Partition:
         parts = tuple(self.parts)
         object.__setattr__(self, "parts", parts)
         for k, part in enumerate(parts):
-            if not isinstance(part, int) or isinstance(part, bool) or part < 1:
+            if not _is_positive_int(part):
                 raise ShapeError(f"row lengths must be positive integers, got {part!r}")
             if k and parts[k - 1] < part:
                 raise ShapeError(f"row lengths must be weakly decreasing, got {parts}")

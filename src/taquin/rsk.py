@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
+from .partitions import _is_positive_int
 from .tableaux import Tableau, _bump, _normal, _unbump, is_standard
 
 
@@ -18,8 +19,8 @@ class Permutation:
         word = tuple(self.word)
         object.__setattr__(self, "word", word)
         for letter in word:
-            if not isinstance(letter, int) or isinstance(letter, bool):
-                raise DomainError(f"letter {letter!r} is not an integer")
+            if not _is_positive_int(letter):
+                raise DomainError(f"letter {letter!r} is not an integer of at least 1")
         if sorted(word) != list(range(1, len(word) + 1)):
             raise DomainError(f"{word} is not a rearrangement of 1..{len(word)}")
 

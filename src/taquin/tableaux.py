@@ -16,7 +16,8 @@ from operator import itemgetter, lt
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, TableauError
-from .partitions import Cell, Partition, SkewShape, inner_corners, skew_shape_of_cells
+from .partitions import Cell, Partition, SkewShape, _is_positive_int, inner_corners
+from .partitions import skew_shape_of_cells
 
 
 def _at(rows: Sequence[Sequence[int | None]], i: int, j: int) -> int | None:
@@ -70,7 +71,7 @@ class Tableau:
             skipped = inner.row_len(i)
             for j, entry in enumerate(row, start=1):
                 if j > skipped:
-                    if not isinstance(entry, int) or isinstance(entry, bool) or entry < 1:
+                    if not _is_positive_int(entry):
                         raise TableauError(f"cell ({i},{j}) needs a positive entry, got {entry!r}")
                     if entry in seen:
                         raise TableauError(f"duplicate entry {entry}")
@@ -214,7 +215,7 @@ def _unbump(rows: list[list[int]], i: int) -> int:
 def row_insert(p: Tableau, x: int) -> tuple[Tableau, Cell]:
     """Insert ``x`` by row bumping, returning the new tableau and the added cell."""
     _require_normal_partial(p, "row_insert")
-    if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+    if not _is_positive_int(x):
         raise DomainError(f"can only insert positive integers, got {x!r}")
     if any(x in row for row in p.rows):
         raise DomainError(f"entry {x} already present")

@@ -388,6 +388,27 @@ def test_help_still_prints_usage_to_stdout(capsys):
     assert code == 0 and out.startswith("usage: taquin count") and err == ""
 
 
+def test_rsk_rejects_perm_and_inverse_together(capsys, tmp_path):
+    p = write(tmp_path, "p.json", {"outer": [1], "inner": [], "rows": [[1]]})
+    assert_bounded_input_error(capsys, "rsk", "--perm", "2,1", "--inverse", p, p)
+    assert_bounded_input_error(capsys, "rsk", "--inverse", p, p, "--perm", "1")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--state", "missing.json"],
+        ["--requirements", "missing.json"],
+        ["--capacities", "missing.json"],
+        ["--relocate"],
+        ["--no-relocate"],
+    ],
+)
+def test_turnaround_random_rejects_instance_flags(capsys, flags):
+    assert_bounded_input_error(capsys, "turnaround", "--random", "2", *flags)
+    assert_bounded_input_error(capsys, "turnaround", *flags, "--random", "0")
+
+
 def test_turnaround_random_rejects_negative_trials(capsys):
     assert_bounded_input_error(capsys, "turnaround", "--random", "-5")
 

@@ -1,9 +1,12 @@
 """Structural fuzz of the CLI commands that read files, run in process.
 
 Each case takes a bundled state, golden tableaux, or a requirement or capacity
-file made to fit its state, and mutates one of them up to three times: it
-drops, repeats (a key, too) or wraps a field, or swaps in ``None``, a bool, a
-float, a huge or negative integer, a 5000-digit string or nested lists.  Every
+file made to fit its state, and mutates one of them up to three times.  Half
+the cases mutate its structure: they drop, repeat (a key, too) or wrap a
+field, or swap in ``None``, a bool, a float, a huge or negative integer, a
+5000-digit string or nested lists.  The other half keep every grid's shape, so
+they reach the constructors' entry checks: each mutation puts such a value, or
+a copy of another entry of the same grid, in place of one grid entry.  Every
 run must return 0, 1 or 2 within 2 s; a 2 comes with exactly one ``error:``
 line on stderr, and no exception escapes ``main``.
 """
@@ -115,6 +118,40 @@ def mutated(draw, value: object) -> object:
     return value
 
 
+# The grids of the files: occupancy, tableau rows, capacities and partitions.
+GRIDS = {"cells", "rows", "c", "capacities", "shape", "outer", "inner"}
+
+
+def grid_entries(value: object) -> dict[tuple, object]:
+    """Each value inside a grid of ``value`` that is neither an array nor an object, by path."""
+    found = {}
+    for path in paths(value):
+        entry = value
+        for step in path:
+            entry = entry[step]
+        if path and path[0] in GRIDS and not isinstance(entry, (dict, list)):
+            found[path] = entry
+    return found
+
+
+@st.composite
+def shape_kept(draw, value: object) -> object:
+    """``value`` after one to three grid entries are overwritten: nothing dropped or inserted."""
+    for _ in range(draw(st.integers(1, 3))):
+        value = copy.deepcopy(value)
+        found = grid_entries(value)
+        if not found:  # a requirements file has no grid
+            return value
+        *head, key = path = draw(st.sampled_from(list(found)))
+        others = [entry for other, entry in found.items() if other[0] == path[0] and other != path]
+        parent = value
+        for step in head:
+            parent = parent[step]
+        copies = [st.sampled_from(others)] if others else []
+        parent[key] = draw(st.one_of(JUNK, *copies))
+    return value
+
+
 @st.composite
 def cases(draw) -> tuple[list[str], dict]:
     """A command line, its file arguments written ``{name}``, and those files' values."""
@@ -136,7 +173,7 @@ def cases(draw) -> tuple[list[str], dict]:
             argv += ["--capacities", "{capacities}"]
         argv += draw(st.sampled_from([[], ["--relocate"], ["--no-relocate"]]))
     name = draw(st.sampled_from(sorted(files)))
-    files[name] = draw(mutated(files[name]))
+    files[name] = draw(draw(st.sampled_from([mutated, shape_kept]))(files[name]))
     return argv, files
 
 

@@ -110,6 +110,21 @@ def test_jdt_equivalent_examples():
     assert not jdt_equivalent(T3, Tableau.normal([[1]]))
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [Tableau.normal([[2, 1]]), Tableau.skew((3,), (1,), [[None, 2, 1]])],
+    ids=["normal", "skew"],
+)
+def test_rectify_and_jdt_equivalent_reject_generalized_tableaux(bad):
+    # One domain on either shape: a normal generalized tableau is not passed through.
+    with pytest.raises(DomainError, match="strictly increasing"):
+        rectify(bad)
+    with pytest.raises(DomainError, match="strictly increasing"):
+        jdt_equivalent(bad, Tableau.normal([[1, 2]]))
+    with pytest.raises(DomainError, match="strictly increasing"):
+        jdt_equivalent(T5, bad)
+
+
 def test_slides_always_produce_partial_tableaux():
     rng = Random(7)
     for _ in range(50):

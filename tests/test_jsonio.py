@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taquin import figures
-from taquin.errors import DomainError, ResourceLimitError
+from taquin.errors import DomainError, ResourceLimitError, ShapeError, TaquinError
 from taquin.hms import (
     Completion,
     HmtState,
@@ -22,7 +22,6 @@ from taquin.hms import (
 )
 from taquin.jdt import Relocation, forward_slide_trace
 from taquin.jsonio import (
-    _expect_int,
     _expect_list,
     _expect_object,
     canonical_dumps,
@@ -30,7 +29,6 @@ from taquin.jsonio import (
     decode_fraction,
     decode_hmt_state,
     decode_partition,
-    decode_permutation,
     decode_tableau,
     decode_task_set,
     encode_fraction,
@@ -75,7 +73,7 @@ def test_partition_and_skew_shape_roundtrip():
     assert encode_skew_shape(skew) == {"outer": [4, 3], "inner": [2]}
     with pytest.raises(DomainError):
         decode_partition("3,2")
-    with pytest.raises(DomainError):
+    with pytest.raises(ShapeError):  # entries are Partition's to check
         decode_partition([3, 2.5])
 
 
@@ -92,9 +90,47 @@ def test_tableau_roundtrip_normal_and_skew():
 
 def test_permutation_roundtrip():
     pi = Permutation((7, 8, 2, 3, 5, 4, 1, 6))
-    assert decode_permutation(encode_permutation(pi)) == pi
+    assert Permutation(tuple(encode_permutation(pi))) == pi
     with pytest.raises(DomainError):
-        decode_permutation([1, "2"])
+        Permutation((1, "2"))
+
+
+# Where each constructor meets one JSON value ``v``: (build, a value that makes it valid, the
+# entry already there that a duplicate repeats).  The decoders check JSON structure only, so
+# every entry check below is the constructor's.
+ENTRY_SITES = {
+    "partition": (lambda v: decode_partition([3, v]), 2, 3),
+    "tableau-inner-cell": (
+        lambda v: decode_tableau({"outer": [3, 1], "inner": [1], "rows": [[v, 7, 9], [8]]}), None, 7
+    ),
+    "tableau-outer-cell": (
+        lambda v: decode_tableau({"outer": [3, 1], "inner": [1], "rows": [[None, 7, v], [8]]}), 9, 7
+    ),
+    "mesh-state": (
+        lambda v: decode_hmt_state({"shape": [2, 2], "cells": [[7, v], [8, None]]}), 9, 7
+    ),
+    "permutation": (lambda v: Permutation((3, 1, v)), 2, 3),
+}
+BAD_ENTRIES = {"float": 1.5, "bool": True, "string": "3", "null": None, "array": [1],
+               "object": {}, "zero": 0, "negative": -1, "huge": 2**70}
+# Values that are entries where they stand: a row as long as the one above, an idle cell, and
+# large tableau entries and task IDs (neither need be 1..n).
+VALID_AT = {("partition", "duplicate"), ("tableau-inner-cell", "null"), ("mesh-state", "null"),
+            ("tableau-outer-cell", "huge"), ("mesh-state", "huge")}
+
+
+@pytest.mark.parametrize("kind", [*BAD_ENTRIES, "duplicate"])
+@pytest.mark.parametrize("site", ENTRY_SITES)
+def test_each_constructor_rejects_each_bad_entry_naming_it(site, kind):
+    build, good, dup = ENTRY_SITES[site]
+    build(good)  # the site itself is valid
+    value = dup if kind == "duplicate" else BAD_ENTRIES[kind]
+    if (site, kind) in VALID_AT:
+        build(value)
+        return
+    with pytest.raises(TaquinError) as caught:
+        build(value)
+    assert repr(value) in str(caught.value)
 
 
 def test_state_roundtrip_with_and_without_capacities():
@@ -155,11 +191,17 @@ def test_encode_fraction_refuses_exactly_what_cannot_print():
             encode_fraction(value)
 
 
+def expect_int(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def decode_cell(obj) -> Cell:
     pair = _expect_list(obj, "cell")
     if len(pair) != 2:
         raise DomainError(f"cell must be [row, col], got {obj!r}")
-    return Cell(_expect_int(pair[0], "row"), _expect_int(pair[1], "col"))
+    return Cell(expect_int(pair[0], "row"), expect_int(pair[1], "col"))
 
 
 def decode_trace(obj) -> oracles.Trace:
@@ -171,7 +213,7 @@ def decode_trace(obj) -> oracles.Trace:
         entry = _expect_object(raw, "event")
         trigger_obj = _expect_object(entry.get("trigger"), "trigger")
         if "completed" in trigger_obj:
-            trigger = Completion(_expect_int(trigger_obj["completed"], "completed task"))
+            trigger = Completion(expect_int(trigger_obj["completed"], "completed task"))
         elif "rectify_corner" in trigger_obj:
             trigger = RectifyCorner(decode_cell(trigger_obj["rectify_corner"]))
         else:
@@ -179,7 +221,7 @@ def decode_trace(obj) -> oracles.Trace:
         moves = []
         for item in _expect_list(entry.get("relocations", []), "relocations"):
             move = _expect_object(item, "relocation")
-            task, source = _expect_int(move.get("task"), "task"), decode_cell(move.get("from"))
+            task, source = expect_int(move.get("task"), "task"), decode_cell(move.get("from"))
             moves.append(Relocation(task, source, decode_cell(move.get("to"))))
         noop = entry.get("noop", False)
         if not isinstance(noop, bool):
