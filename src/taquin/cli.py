@@ -1,7 +1,7 @@
 """Command-line front end: counting, identities, bumping, slides, and simulations.
 
 Exit codes: 0 on success, 1 when a checked property or golden comparison is
-violated, 2 on any input or usage error.  All JSON output is canonical
+violated, 2 on any input or usage error or failed write.  All JSON output is canonical
 (sorted keys, fixed spacing) so runs are byte-for-byte reproducible.
 """
 
@@ -50,10 +50,11 @@ from .rsk import Permutation, rsk, rsk_inverse
 
 DEFAULT_SEED = 1729
 SEED_ENV_VAR = "TAQUIN_SEED"
+# Times: a child process's wall time at the bound, best of 5 (Python 3.11.7, 2 shared vCPUs).
 MAX_COUNT_CELLS = 2000  # f <= sqrt(n!) then prints within the 4300-digit int-to-str limit
-MAX_IDENTITY_N = 40  # the check walks all p(n) shapes: ~2 s at n=40, ~12 s at n=50
-MAX_RANDOM_TRIALS = 10000  # about 0.12 ms a trial, so about 1.3 s
-MAX_RSK_N = 5000  # a decreasing word bumps n^2/2 times: ~1.3 s at n=5000, either direction
+MAX_IDENTITY_N = 40  # the check walks all p(n) shapes: ~1.2 s at n=40; n=50 ~7 s in process
+MAX_RANDOM_TRIALS = 10000  # about 0.14 ms a trial, so about 1.4 s
+MAX_RSK_N = 5000  # a decreasing word bumps n^2/2 times: ~1.4 s at n=5000, ~0.8 s to invert
 MAX_TURNAROUND_CELLS = 1024  # bounds the exact rational sums, one term per task
 # A trace's text holds one full state per event, and each cascade makes fewer
 # than rows + cols relocations, so cells x (rows + cols) bounds both: 65536 is
@@ -105,18 +106,14 @@ def _load_json(path: str) -> Any:
         raise TaquinError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_state(path: str, trace: bool) -> HmtState:
-    """Decode a mesh state held to the trace bound, or else to the turnaround bound."""
+def _load_state(path: str) -> HmtState:
+    """Decode a mesh state whose trace fits the trace bound."""
     state = decode_hmt_state(_load_json(path))
     cells, rows, cols = state.shape.n, state.shape.num_rows, state.shape.row_len(1)
-    if trace and cells * (rows + cols) > MAX_TRACE_SIZE:
+    if cells * (rows + cols) > MAX_TRACE_SIZE:
         raise ResourceLimitError(
             f"a {rows}x{cols} mesh has cells x (rows + cols) = {cells * (rows + cols)};"
             f" traces are bounded to {MAX_TRACE_SIZE}"
-        )
-    if not trace and cells > MAX_TURNAROUND_CELLS:
-        raise ResourceLimitError(
-            f"mesh has {cells} cells; turnarounds are bounded to {MAX_TURNAROUND_CELLS}"
         )
     return state
 
@@ -124,10 +121,6 @@ def _load_state(path: str, trace: bool) -> HmtState:
 def _check_rsk_n(n: int) -> None:
     if n > MAX_RSK_N:
         raise ResourceLimitError(f"rsk is bounded to n <= {MAX_RSK_N}, got n = {n}")
-
-
-def _emit(obj: Any) -> None:
-    sys.stdout.write(canonical_dumps(obj))
 
 
 def _emit_trace(trace: ReassignmentTrace, trace_path: str | None) -> None:
@@ -148,36 +141,30 @@ def _emit_trace(trace: ReassignmentTrace, trace_path: str | None) -> None:
         write_trace(trace, write)
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: argparse.Namespace) -> tuple[Any, bool]:
     shape = Partition(_parse_int_list(args.shape, "--shape"))
     if shape.n > MAX_COUNT_CELLS:
         raise ResourceLimitError(f"shape has {shape.n} cells; the bound is {MAX_COUNT_CELLS}")
-    _emit(
-        {
-            "shape": list(shape.parts),
-            "hook_lengths": [list(row) for row in hook_lengths(shape)],
-            "count": count_syt(shape),
-        }
-    )
-    return 0
+    return {
+        "shape": list(shape.parts),
+        "hook_lengths": [list(row) for row in hook_lengths(shape)],
+        "count": count_syt(shape),
+    }, True
 
 
-def _cmd_verify_identity(args: argparse.Namespace) -> int:
+def _cmd_verify_identity(args: argparse.Namespace) -> tuple[Any, bool]:
     if args.n > MAX_IDENTITY_N:
         raise ResourceLimitError(f"verify-identity is bounded to n <= {MAX_IDENTITY_N}")
     result = verify_sum_squares(args.n)
-    _emit(
-        {
-            "n": args.n,
-            "sum_of_squares": result.sum_of_squares,
-            "factorial": result.factorial,
-            "equal": result.equal,
-        }
-    )
-    return 0 if result.equal else 1
+    return {
+        "n": args.n,
+        "sum_of_squares": result.sum_of_squares,
+        "factorial": result.factorial,
+        "equal": result.equal,
+    }, result.equal
 
 
-def _cmd_rsk(args: argparse.Namespace) -> int:
+def _cmd_rsk(args: argparse.Namespace) -> tuple[Any, bool]:
     if args.inverse is not None:
         p = decode_tableau(_load_json(args.inverse[0]))
         _check_rsk_n(p.size)  # a Q of another shape is rejected before any bump
@@ -190,24 +177,25 @@ def _cmd_rsk(args: argparse.Namespace) -> int:
         p, q = rsk(pi)
     else:
         raise TaquinError("rsk needs --perm or --inverse")
-    _emit({"P": encode_tableau(p), "Q": encode_tableau(q), "perm": encode_permutation(pi)})
-    return 0
+    return {"P": encode_tableau(p), "Q": encode_tableau(q), "perm": encode_permutation(pi)}, True
 
 
-def _cmd_rectify(args: argparse.Namespace) -> int:
-    state = _load_state(args.state, trace=True)
-    _emit_trace(rectify_assignment(state), args.trace)
-    return 0
+def _cmd_rectify(args: argparse.Namespace) -> tuple[Any, bool]:
+    return rectify_assignment(_load_state(args.state)), True
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    state = _load_state(args.state, trace=True)
-    completions = _parse_int_list(args.completions, "--completions")
-    _emit_trace(reassignment_sequence(state, completions), args.trace)
-    return 0
+def _cmd_simulate(args: argparse.Namespace) -> tuple[Any, bool]:
+    state = _load_state(args.state)
+    return reassignment_sequence(state, _parse_int_list(args.completions, "--completions")), True
 
 
-def _turnaround_random(args: argparse.Namespace) -> int:
+def _totals(state: HmtState, tasks: Any, caps: Any) -> tuple[Any, Any]:
+    """The turnaround totals t1 without relocation and t2 with it."""
+    return (turnaround_sequential(state, tasks, caps, relocate=False).total,
+            turnaround_sequential(state, tasks, caps, relocate=True).total)
+
+
+def _turnaround_random(args: argparse.Namespace) -> tuple[Any, bool]:
     if args.random < 0:
         raise TaquinError(f"--random needs N >= 0, got {args.random}")
     if args.random > MAX_RANDOM_TRIALS:
@@ -219,33 +207,31 @@ def _turnaround_random(args: argparse.Namespace) -> int:
     for trial in range(args.random):
         state = random_standard_assignment(rng, min_tasks=2)
         caps = random_hierarchical_capacities(rng, state.shape)
-        tasks = random_requirements(rng, state.task_count)
-        t1 = turnaround_sequential(state, tasks, caps, relocate=False).total
-        t2 = turnaround_sequential(state, tasks, caps, relocate=True).total
+        t1, t2 = _totals(state, random_requirements(rng, state.task_count), caps)
         differences.append(t1 - t2)
         if not t2 < t1:
             violations.append(trial)
-    _emit(
-        {
-            "trials": args.random,
-            "seed": seed,
-            "all_improved": not violations,
-            "min_difference": encode_fraction(min(differences)) if differences else None,
-            "violations": violations,
-        }
-    )
-    return 0 if not violations else 1
+    return {
+        "trials": args.random,
+        "seed": seed,
+        "all_improved": not violations,
+        "min_difference": encode_fraction(min(differences)) if differences else None,
+        "violations": violations,
+    }, not violations
 
 
-def _cmd_turnaround(args: argparse.Namespace) -> int:
+def _cmd_turnaround(args: argparse.Namespace) -> tuple[Any, bool]:
     if args.random is not None:
-        if (args.state, args.requirements, args.capacities, args.relocate) != (None,) * 4:
-            raise TaquinError("--random takes no --state, --requirements, --capacities,"
-                              " --relocate or --no-relocate")
+        if (args.state, args.requirements, args.capacities) != (None,) * 3:
+            raise TaquinError("--random takes no --state, --requirements or --capacities")
         return _turnaround_random(args)
     if args.state is None or args.requirements is None:
         raise TaquinError("turnaround needs --state and --requirements (or --random N)")
-    state = _load_state(args.state, trace=False)
+    state = decode_hmt_state(_load_json(args.state))
+    if state.shape.n > MAX_TURNAROUND_CELLS:
+        raise ResourceLimitError(
+            f"mesh has {state.shape.n} cells; turnarounds are bounded to {MAX_TURNAROUND_CELLS}"
+        )
     tasks = decode_task_set(_load_json(args.requirements))
     if args.capacities is not None:
         caps = decode_capacity_grid(_load_json(args.capacities))
@@ -255,64 +241,45 @@ def _cmd_turnaround(args: argparse.Namespace) -> int:
         caps = default_capacity_grid(state.shape)
 
     if args.relocate is None:
-        static = turnaround_sequential(state, tasks, caps, relocate=False)
-        moved = turnaround_sequential(state, tasks, caps, relocate=True)
-        _emit(
-            {
-                "t1": encode_fraction(static.total),
-                "t2": encode_fraction(moved.total),
-                "difference": encode_fraction(static.total - moved.total),
-            }
-        )
-        return 0
+        t1, t2 = _totals(state, tasks, caps)
+        return {
+            "t1": encode_fraction(t1),
+            "t2": encode_fraction(t2),
+            "difference": encode_fraction(t1 - t2),
+        }, True
     report = turnaround_sequential(state, tasks, caps, relocate=args.relocate)
-    _emit(
-        {
-            "relocate": args.relocate,
-            "total": encode_fraction(report.total),
-            "per_task": [
-                {
-                    "task": run.task,
-                    "cell": encode_cell(run.cell),
-                    "duration": encode_fraction(run.duration),
-                }
-                for run in report.per_task
-            ],
-        }
-    )
-    return 0
+    return {
+        "relocate": args.relocate,
+        "total": encode_fraction(report.total),
+        "per_task": [
+            {
+                "task": run.task,
+                "cell": encode_cell(run.cell),
+                "duration": encode_fraction(run.duration),
+            }
+            for run in report.per_task
+        ],
+    }, True
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace) -> tuple[Any, bool]:
     state = decode_hmt_state(_load_json(args.state))
     kind, form = classify_state(state)
     shape, _ = maximally_embedded(state)
-    _emit(
-        {
-            "classification": kind.value,
-            "form": form.value,
-            "embedded": encode_skew_shape(shape),
-            "descent_pairs": [
-                [encode_cell(a), encode_cell(b)] for a, b in descent_pairs(state)
-            ],
-        }
-    )
-    return 0
+    return {
+        "classification": kind.value,
+        "form": form.value,
+        "embedded": encode_skew_shape(shape),
+        "descent_pairs": [[encode_cell(a), encode_cell(b)] for a, b in descent_pairs(state)],
+    }, True
 
 
-def _cmd_figures(args: argparse.Namespace) -> int:
+def _cmd_figures(args: argparse.Namespace) -> tuple[Any, bool]:
     if args.update:
-        golden_dir = figures.update_goldens()
-        print(f"wrote {len(figures.FIGURES)} golden files to {golden_dir}")
-        return 0
-    failures = 0
-    for result in figures.run_all():
-        if result.matched:
-            print(f"ok {result.name}")
-        else:
-            print(f"MISMATCH {result.name}")
-            failures += 1
-    return 0 if failures == 0 else 1
+        return f"wrote {len(figures.FIGURES)} golden files to {figures.update_goldens()}\n", True
+    results = figures.run_all()
+    text = "".join(f"{'ok' if r.matched else 'MISMATCH'} {r.name}\n" for r in results)
+    return text, all(r.matched for r in results)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print both totals and their difference (default)")
     group.add_argument("--relocate", dest="relocate", action="store_true")
     group.add_argument("--no-relocate", dest="relocate", action="store_false")
-    turnaround.add_argument("--random", type=int, metavar="N",
-                            help="run N seeded random instances and check improvement")
+    group.add_argument("--random", type=int, metavar="N",
+                       help="run N seeded random instances and check improvement")
     turnaround.set_defaults(func=_cmd_turnaround, relocate=None)
 
     check = sub.add_parser("check", help="classification, embedded shape, descent pairs")
@@ -377,6 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command, which returns (result, ok); write the result, and exit 0 if ok else 1."""
     if argv is None:
         argv = sys.argv[1:]
     if hasattr(sys.stdout, "reconfigure"):
@@ -386,17 +354,27 @@ def main(argv: list[str] | None = None) -> int:
         argv = ["figures", *argv[1:]]
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        result, ok = args.func(args)
+        if isinstance(result, ReassignmentTrace):
+            _emit_trace(result, args.trace)
+        else:
+            sys.stdout.write(result if isinstance(result, str) else canonical_dumps(result))
+        return 0 if ok else 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except TaquinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # The reader left early: point stdout at devnull so the flush at exit cannot fail again.
-        with open(os.devnull, "wb") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
-        print("error: stdout was closed before all output was written", file=sys.stderr)
+    except OSError as exc:  # stdout, the --trace file or the golden directory
+        try:
+            sys.stdout.flush()
+        except OSError:  # point stdout at devnull so the flush at exit cannot fail again
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            print("error: stdout was closed before all output was written", file=sys.stderr)
+        else:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

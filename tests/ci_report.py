@@ -1,13 +1,16 @@
 """Timings for CI's job summary, one line per kernel: a report, not a gate.
 
 Run from the repository root with ``PYTHONPATH=src python tests/ci_report.py``.
-Every time is the best of several calls.  The one check is the stop at the
+Every time is the best of several calls, except the CLI's start baseline, which
+is the median of several child processes.  The one check is the stop at the
 printable digits: each turnaround on 4000-digit requirements must raise.
 """
 
 from __future__ import annotations
 
 import gc
+import statistics
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -144,7 +147,24 @@ def rsk_round_trip() -> str:
             f"is_standard(P) {best_ms(lambda: is_standard(p)):.2f} ms")
 
 
+def cli_start() -> str:
+    """The CLI's start baseline: a child that imports ``taquin.cli`` and prints ``--help``,
+    beside a bare interpreter, median of 7 wall times each (the child inherits PYTHONPATH)."""
+
+    def median_ms(code: str) -> float:
+        times = []
+        for _ in range(7):
+            start = time.perf_counter()
+            subprocess.run([sys.executable, "-c", code], stdout=subprocess.DEVNULL, check=True)
+            times.append(time.perf_counter() - start)
+        return statistics.median(times) * 1e3
+
+    help_ms = median_ms("import sys; from taquin.cli import main; sys.exit(main(['--help']))")
+    return (f"CLI start, median of 7 child runs: taquin --help {help_ms:.0f} ms, "
+            f"python -c pass {median_ms('pass'):.0f} ms")
+
+
 if __name__ == "__main__":
     for report in (priority_order_completions, other_slides, turnarounds, single_completions,
-                   rsk_round_trip):
+                   rsk_round_trip, cli_start):
         print(report(), flush=True)

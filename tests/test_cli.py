@@ -9,14 +9,15 @@ from random import Random
 import oracles
 import pytest
 
-from taquin import figures
+from taquin import cli, figures
 from taquin.cli import MAX_RSK_N, MAX_TURNAROUND_CELLS, main
 from taquin.hms import HmtState
 from taquin.jsonio import canonical_dumps, encode_hmt_state, encode_trace
-from taquin.partitions import Partition, SkewShape
+from taquin.partitions import Partition, SkewShape, SumSquaresIdentity
 from taquin.randgen import random_standard_filling, random_subpartition
 
 STATES = Path(figures.__file__).parent / "fixtures" / "states"
+CHILD = [sys.executable, "-c", "import sys; from taquin.cli import main; sys.exit(main())"]
 
 
 def run(capsys, *argv):
@@ -64,6 +65,13 @@ def test_verify_identity(capsys):
         assert code == 0
         data = json.loads(out)
         assert data["equal"] and data["factorial"] == expected == data["sum_of_squares"]
+
+
+def test_verify_identity_reports_an_unequal_sum(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_sum_squares", lambda n: SumSquaresIdentity(5, 6, False))
+    code, out, _ = run(capsys, "verify-identity", "--n", "3")
+    assert code == 1
+    assert json.loads(out) == {"n": 3, "sum_of_squares": 5, "factorial": 6, "equal": False}
 
 
 def test_rsk_command_and_inverse(capsys, tmp_path):
@@ -131,18 +139,23 @@ def test_trace_file_holds_stdout_with_capacities(capsys, tmp_path):
     assert trace_file.read_text(encoding="utf-8") == out
 
 
+def child_env():
+    """The environment for a child ``taquin`` process that imports this checkout."""
+    src = str(Path(figures.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def test_reader_closing_stdout_early_is_one_error_line(tmp_path):
     """A reader that stops after one byte of a 1.6 MB trace gets exit 2 and no traceback."""
     k = 16
     cells = [[i * k + j + 1 for j in range(k)] for i in range(k)]
     state = write(tmp_path, "full.json", {"shape": [k] * k, "cells": cells})
-    src = str(Path(figures.__file__).parents[1])
     with subprocess.Popen(
-        [sys.executable, "-c", "import sys; from taquin.cli import main; sys.exit(main())",
-         "simulate", "--state", state, "--completions", ",".join(map(str, range(1, k * k + 1)))],
+        [*CHILD, "simulate", "--state", state,
+         "--completions", ",".join(map(str, range(1, k * k + 1)))],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+        env=child_env(),
     ) as child:
         assert child.stdout.read(1) == b"{"
         child.stdout.close()
@@ -150,6 +163,32 @@ def test_reader_closing_stdout_early_is_one_error_line(tmp_path):
         assert child.wait(timeout=60) == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (["count", "--shape", "3,2,1"], "/dev/full"),
+        (["rectify", "--state", str(STATES / "fig6c.json"), "--trace", "/dev/full"], os.devnull),
+    ],
+    ids=["stdout", "trace-file"],
+)
+def test_failed_write_is_one_error_line(argv, stdout):
+    """A write to stdout or to the --trace file that fails (the device is full) exits 2."""
+    with open(stdout, "w", encoding="utf-8") as out:
+        child = subprocess.run([*CHILD, *argv], stdout=out, stderr=subprocess.PIPE,
+                               env=child_env(), timeout=60)
+    err = child.stderr.decode()
+    assert child.returncode == 2
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_unwritable_golden_directory_is_input_error(capsys, monkeypatch, tmp_path):
+    (tmp_path / "golden").write_text("not a directory", encoding="utf-8")
+    monkeypatch.setattr(figures, "FIXTURES", str(tmp_path))
+    assert_bounded_input_error(capsys, "figures", "--update")
 
 
 def test_unwritable_trace_path_is_input_error(capsys, tmp_path):
@@ -278,6 +317,22 @@ def test_turnaround_random_output_is_pinned(capsys, monkeypatch):
     )
 
 
+def test_turnaround_random_reports_a_trial_that_does_not_improve(capsys, monkeypatch):
+    totals, seen = cli._totals, []
+
+    def second_trial_stalls(state, tasks, caps):
+        t1, t2 = totals(state, tasks, caps)
+        seen.append(t1)
+        return (t1, t1) if len(seen) == 2 else (t1, t2)
+
+    monkeypatch.setattr(cli, "_totals", second_trial_stalls)
+    code, out, _ = run(capsys, "turnaround", "--random", "3")
+    data = json.loads(out)
+    assert code == 1 and len(seen) == 3
+    assert data["violations"] == [1] and not data["all_improved"]
+    assert data["min_difference"] == "0/1"
+
+
 def test_turnaround_requires_inputs(capsys):
     code, _, err = run(capsys, "turnaround")
     assert code == 2 and "turnaround needs" in err
@@ -402,6 +457,7 @@ def test_rsk_rejects_perm_and_inverse_together(capsys, tmp_path):
         ["--capacities", "missing.json"],
         ["--relocate"],
         ["--no-relocate"],
+        ["--compare"],
     ],
 )
 def test_turnaround_random_rejects_instance_flags(capsys, flags):
