@@ -22,10 +22,8 @@ from .partitions import (
     verify_sum_squares,
 )
 from .tableaux import (
-    FillKind,
     ShapeKind,
     Tableau,
-    classify,
     is_partial,
     is_standard,
     reading_word,

@@ -212,29 +212,36 @@ class ReassignmentTrace:
         return ((self._kind, arg, log, rows) for arg, (log, rows) in zip(self._args, steps))
 
     @property
-    def events(self) -> tuple[TraceEvent, ...]:
-        # Not ``cached_property``, which takes no lock since Python 3.12: the first tuple stored wins.
-        if "events" in vars(self):
-            return vars(self)["events"]
-        a0, state, events = self.initial, self.initial, []
-        cells = _cell_table(a0.occupancy)
-        for kind, arg, log, rows in self.replay():
-            state = a0._snapshot(rows) if log else state
-            events.append(TraceEvent(kind(arg), _relocations(log, cells), state, not log))
-        return vars(self).setdefault("events", tuple(events))
-
-    @property
     def states(self) -> tuple[HmtState, ...]:
         """The assignment sequence: initial state plus one state per relocating event."""
-        return (self.initial,) + tuple(event.state for event in self.events if not event.noop)
+        # Not ``cached_property``, which takes no lock since Python 3.12: the first tuple stored wins.
+        if "states" not in vars(self):
+            snapshots = [self.initial._snapshot(rows) for _, _, log, rows in self.replay() if log]
+            vars(self).setdefault("states", (self.initial, *snapshots))
+        return vars(self)["states"]
 
     @property
     def final(self) -> HmtState:
-        return self.events[-1].state if self.events else self.initial
+        return self.states[-1]
+
+    @property
+    def events(self) -> tuple[TraceEvent, ...]:
+        """Each event, holding a state from ``states``: a no-op holds the one before it."""
+        if "events" not in vars(self):
+            states, cells, events = iter(self.states), _cell_table(self.initial.occupancy), []
+            state = next(states)
+            for arg, start, end in zip(self._args, [0, *self._ends], self._ends):
+                state = next(states) if end > start else state
+                moves = _relocations(self._log[start:end], cells)
+                events.append(TraceEvent(self._kind(arg), moves, state, end == start))
+            vars(self).setdefault("events", tuple(events))
+        return vars(self)["events"]
 
     def __eq__(self, other: object) -> bool:
-        same_type = isinstance(other, ReassignmentTrace)
-        return same_type and (self.initial, self.events) == (other.initial, other.events)
+        # From one initial state, the triggers and the log fix every event (no event: no kind).
+        return isinstance(other, ReassignmentTrace) and (
+            self.initial, self._args and self._kind, self._args, self._log, self._ends
+        ) == (other.initial, other._args and other._kind, other._args, other._log, other._ends)
 
 
 def _require_standard_normal(state: HmtState, op: str) -> None:
@@ -355,7 +362,7 @@ class TurnaroundReport:
 
     def __getattr__(self, name: str) -> tuple[TaskRun, ...]:
         # Only a library report lacks ``per_task``: built on first read and stored as
-        # ``ReassignmentTrace.events`` is, so every thread reads the first tuple stored.
+        # ``ReassignmentTrace.states`` is, so every thread reads the first tuple stored.
         if name != "per_task" or "_runs" not in vars(self):
             raise AttributeError(name)
         return vars(self).setdefault("per_task", self._runs())

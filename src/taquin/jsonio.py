@@ -171,20 +171,21 @@ def decode_task_set(obj: Any) -> TaskSet:
 
 
 def encode_trace(trace: ReassignmentTrace) -> dict:
-    events = []
-    for event in trace.events:
-        trigger = event.trigger
+    """The trace as a JSON tree, from its replay (``ReassignmentTrace.replay``) and move log."""
+    a0, events = trace.initial, []
+    cells = _cell_table(a0.occupancy)
+    for kind, arg, log, rows in trace.replay():
         events.append({
-            "trigger": {"completed": trigger.task} if isinstance(trigger, Completion)
-            else {"rectify_corner": encode_cell(trigger.corner)},
+            "trigger": {"completed": arg} if kind is Completion
+            else {"rectify_corner": encode_cell(arg)},
             "relocations": [
-                {"task": move.task, "from": encode_cell(move.source), "to": encode_cell(move.dest)}
-                for move in event.relocations
+                {"task": task, "from": encode_cell(cells[src]), "to": encode_cell(cells[dst])}
+                for task, src, dst in _moves(log)
             ],
-            "state": encode_hmt_state(event.state),
-            **({"noop": True} if event.noop else {}),
+            "state": encode_hmt_state(a0._snapshot(rows)),
+            **({} if log else {"noop": True}),
         })
-    return {"initial": encode_hmt_state(trace.initial), "events": events}
+    return {"initial": encode_hmt_state(a0), "events": events}
 
 
 # --- the trace writer ------------------------------------------------------

@@ -35,12 +35,6 @@ def _cells(rows: Sequence[Sequence[int | None]]) -> Iterator[tuple[Cell, int]]:
                 yield Cell(i, j), entry
 
 
-class FillKind(Enum):
-    GENERALIZED = "generalized"
-    PARTIAL = "partial"
-    STANDARD = "standard"
-
-
 class ShapeKind(Enum):
     NORMAL = "normal"
     SKEW = "skew"
@@ -168,14 +162,6 @@ def is_standard(t: Tableau) -> bool:
     """True when the tableau is partial and its entries, distinct and positive, are 1..n:
     its largest, which ends a row (a row inside the inner shape ends in None), is n."""
     return is_partial(t) and max(filter(None, map(itemgetter(-1), t.rows)), default=0) == t.size
-
-
-def classify(t: Tableau) -> tuple[FillKind, ShapeKind]:
-    """The strongest fill class of ``t`` and whether its shape is normal or skew."""
-    form = ShapeKind.NORMAL if t.shape.is_normal else ShapeKind.SKEW
-    if is_standard(t):
-        return FillKind.STANDARD, form
-    return (FillKind.PARTIAL if is_partial(t) else FillKind.GENERALIZED), form
 
 
 def _require_normal_partial(t: Tableau, op: str) -> None:

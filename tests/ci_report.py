@@ -28,6 +28,7 @@ from taquin.hms import (
     turnaround_sequential,
 )
 from taquin.jdt import backward_slide_trace, forward_slide_trace
+from taquin.jsonio import encode_trace
 from taquin.partitions import Cell, Partition, SkewShape
 from taquin.randgen import (
     random_hierarchical_capacities,
@@ -72,6 +73,25 @@ def priority_order_completions() -> str:
     tracemalloc.stop()
     return (f"60x60 priority-order reassignment_sequence: {on:.0f} ms with gc, "
             f"{off:.0f} ms without, tracemalloc peak {peak / 1e6:.1f} MB")
+
+
+def trace_readers() -> str:
+    """A full 32x32 mesh completed in priority order: the sequence alone, then with each reader
+    of its move log (``final``, ``==`` against a trace built beforehand, ``encode_trace``)."""
+    a0, order = full_mesh(Random(1), 32, 32), list(range(1, 32 * 32 + 1))
+    built = reassignment_sequence(a0, order)
+
+    def sequence():
+        return reassignment_sequence(a0, order)
+
+    readers = (
+        ("alone", sequence),
+        ("with final", lambda: sequence().final),
+        ("with ==", lambda: sequence() == built),
+        ("with encode_trace", lambda: encode_trace(sequence())),
+    )
+    line = [f"{name} {best_ms(read, 7):.1f} ms" for name, read in readers]
+    return "32x32 priority-order reassignment_sequence, best of 7: " + ", ".join(line)
 
 
 def other_slides() -> str:
@@ -165,6 +185,6 @@ def cli_start() -> str:
 
 
 if __name__ == "__main__":
-    for report in (priority_order_completions, other_slides, turnarounds, single_completions,
-                   rsk_round_trip, cli_start):
+    for report in (priority_order_completions, trace_readers, other_slides, turnarounds,
+                   single_completions, rsk_round_trip, cli_start):
         print(report(), flush=True)

@@ -8,8 +8,10 @@ derivation are the earlier versions built on sets and maps of cells.  The
 tests in ``test_kernels.py`` require the library to agree with them move for
 move.  ``knuth_neighbors`` and ``knuth_reachable_oracle`` decide Knuth
 equivalence by brute force, independently of insertion tableaux.
-``verify_trace`` shares no code with the library either: it checks a printed
-trace against the paper's greedy relocation rule.
+``encode_trace`` renders a test-side trace from its events, where the
+library's encoder and writer read the move log.  ``verify_trace`` shares
+no code with the library either: it checks a printed trace against the
+paper's greedy relocation rule.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from taquin.hms import (
     TurnaroundReport,
     classify_state,
 )
+from taquin.jsonio import encode_cell, encode_hmt_state
 from taquin.partitions import Cell, Partition, SkewShape, inner_corners, outer_corners
 from taquin.rsk import Permutation
 from taquin.tableaux import ShapeKind, Tableau, _at, _cells
@@ -484,6 +487,24 @@ def rectify_assignment(a0: HmtState, slide_policy: SlidePolicy = first_corner) -
     return Trace(a0, tuple(events))
 
 
+def encode_trace(trace: Trace) -> dict:
+    """The JSON tree ``jsonio.encode_trace`` gives a library trace, walked event by event."""
+    events = []
+    for event in trace.events:
+        trigger = event.trigger
+        events.append({
+            "trigger": {"completed": trigger.task} if isinstance(trigger, Completion)
+            else {"rectify_corner": encode_cell(trigger.corner)},
+            "relocations": [
+                {"task": move.task, "from": encode_cell(move.source), "to": encode_cell(move.dest)}
+                for move in event.relocations
+            ],
+            "state": encode_hmt_state(event.state),
+            **({"noop": True} if event.noop else {}),
+        })
+    return {"initial": encode_hmt_state(trace.initial), "events": events}
+
+
 def turnaround_sequential(
     a0: HmtState,
     tasks: TaskSet,
@@ -597,6 +618,16 @@ def _busy_right_below(grid: list[list[int | None]], hole: tuple[int, int]) -> di
     return busy
 
 
+def _inner_shape(grid: list[list[int | None]]) -> set[tuple[int, int]]:
+    """The idle cells weakly above and left of some task: the inner shape rectification empties."""
+    inner, reach = set(), 0  # the rightmost column holding a task in this row or one below
+    for i in range(len(grid), 0, -1):
+        row = grid[i - 1]
+        reach = max([reach, *(j for j, task in enumerate(row, start=1) if task is not None)])
+        inner |= {(i, j) for j in range(1, min(reach, len(row)) + 1) if row[j - 1] is None}
+    return inner
+
+
 def verify_trace(trace: dict) -> None:
     """Check a trace's JSON, as ``simulate`` and ``rectify`` print it, against the paper's rule.
 
@@ -604,9 +635,10 @@ def verify_trace(trace: dict) -> None:
     list of lists.  Each relocation must move a task into the adjacent idle
     cell, from its right or below; the task moved must be the smaller of the
     occupied right/below neighbours, and a cascade may stop only where both
-    are idle or off the mesh.  Each recorded state must equal the replayed
-    one, and ``noop`` may mark only a trace's final event, completing the
-    last task left (which such a completion must be).  Raises
+    are idle or off the mesh.  A rectification opens an inner corner of what
+    is left of the initial inner shape.  Each recorded state must equal the
+    replayed one, and ``noop`` may mark only a trace's final event,
+    completing the last task left (which such a completion must be).  Raises
     ``TraceViolation`` at the first event that breaks a rule.
     """
     _require(set(trace) == {"initial", "events"}, f"trace keys {sorted(trace)}")
@@ -616,6 +648,7 @@ def verify_trace(trace: dict) -> None:
     tasks = [task for row in grid for task in row if task is not None]
     ok = all(type(task) is int and task > 0 for task in tasks) and len(set(tasks)) == len(tasks)
     _require(ok, "initial tasks are not distinct positive integers")
+    inner = _inner_shape(grid)
     for e, event in enumerate(events, start=1):
         at = f"event {e}"
         keys = {"trigger", "relocations", "state", "noop"}
@@ -639,6 +672,10 @@ def verify_trace(trace: dict) -> None:
             hole = _trace_cell(trigger["rectify_corner"], f"{at}: corner")
             on_mesh = 1 <= hole[0] <= len(grid) and 1 <= hole[1] <= len(grid[hole[0] - 1])
             _require(on_mesh and grid[hole[0] - 1][hole[1] - 1] is None, f"{at}: corner not idle")
+            i, j = hole
+            corner = hole in inner and not {(i, j + 1), (i + 1, j)} & inner
+            _require(corner, f"{at}: {hole} is no inner corner of the inner shape left")
+            inner.remove(hole)
         for n, move in enumerate([] if noop else moves, start=1):
             where = f"{at}, relocation {n}"
             _require(set(move) == {"task", "from", "to"}, f"{where}: keys {sorted(move)}")

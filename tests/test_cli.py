@@ -12,7 +12,7 @@ import pytest
 from taquin import cli, figures
 from taquin.cli import MAX_RSK_N, MAX_TURNAROUND_CELLS, main
 from taquin.hms import HmtState
-from taquin.jsonio import canonical_dumps, encode_hmt_state, encode_trace
+from taquin.jsonio import canonical_dumps, encode_hmt_state
 from taquin.partitions import Partition, SkewShape, SumSquaresIdentity
 from taquin.randgen import random_standard_filling, random_subpartition
 
@@ -553,7 +553,7 @@ def test_trace_bytes_at_the_trace_bound_match_the_oracle(capsys, tmp_path):
         trace_file = tmp_path / "trace.json"
         path = write(tmp_path, "s.json", encode_hmt_state(state))
         code, out, err = run(capsys, *argv, "--state", path, "--trace", str(trace_file))
-        expected = canonical_dumps(encode_trace(oracle))
+        expected = canonical_dumps(oracles.encode_trace(oracle))
         assert (code, err) == (0, "")
         assert out == expected
         assert trace_file.read_text(encoding="utf-8") == expected

@@ -19,6 +19,7 @@ from taquin.hms import (
     CapacityGrid,
     Completion,
     HmtState,
+    ReassignmentTrace,
     RectifyCorner,
     StateKind,
     TaskSet,
@@ -563,19 +564,57 @@ def test_random_traces_relocate_legally():
         verify(rectify_assignment(random_skew_assignment(rng)))
 
 
+def assert_events_hold_states(trace) -> None:
+    """Each relocating event holds the next state of ``trace.states``; a no-op the one before."""
+    states = iter(trace.states)
+    state = next(states)
+    for event in trace.events:
+        state = state if event.noop else next(states)
+        assert event.state is state
+    assert next(states, None) is None
+
+
+def test_states_final_equality_and_encoding_build_no_events():
+    completions = (1, 3, 2, 5, 8, 4, 6, 7, 9)
+    builds = (
+        lambda: rectify_assignment(FIG6_C),
+        lambda: reassignment_sequence(FIG3_A0, completions),  # its last event is a no-op
+    )
+    readers = (
+        lambda t, u: t.states, lambda t, u: t.final, operator.eq, lambda t, u: encode_trace(t)
+    )
+    for build in builds:
+        for read in readers:
+            trace, other = build(), build()
+            read(trace, other)
+            assert "events" not in vars(trace) and "events" not in vars(other)
+        states_first, events_first = build(), build()
+        states = states_first.states
+        assert states_first.events and states_first.states is states
+        events = events_first.events
+        assert events_first.states and events_first.events is events
+        assert_events_hold_states(states_first)
+        assert_events_hold_states(events_first)
+    assert builds[1]().events[-1].noop
+
+
 def test_threads_reading_one_trace_share_its_events():
-    """Threads that race to read one trace get one events tuple and write one text."""
+    """Threads that race to read one trace get one events tuple and states tuple, and write one
+    text, whichever of the two each reads first."""
     mesh = Partition((40,) * 40)
     a0 = HmtState(mesh, random_standard_filling(Random(40), SkewShape(mesh)).rows)
     trace = reassignment_sequence(a0, range(1, mesh.n + 1))
     start = threading.Barrier(4)
 
-    def read(_):
+    def read(i):
         start.wait(timeout=60)
-        seen = trace.events, trace.states, trace.final
+        if i % 2:  # half the threads read the states first
+            states, events, final = trace.states, trace.events, trace.final
+        else:
+            events, states, final = trace.events, trace.states, trace.final
         digest = hashlib.sha256()
         write_trace(trace, lambda text: digest.update(text.encode()))
-        return (*seen, digest.digest())
+        return events, states, final, digest.digest()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, so that their first reads overlap
@@ -591,6 +630,30 @@ def test_threads_reading_one_trace_share_its_events():
         assert all(map(operator.is_, other_states, states))
         assert other_text == text
     assert trace.events is events
+    assert_events_hold_states(trace)
+
+
+def test_traces_are_equal_when_their_initial_states_and_events_are():
+    order = (1, 3, 2, 5, 8, 4, 6, 7, 9)
+    trace = reassignment_sequence(FIG3_A0, order)
+    assert trace == reassignment_sequence(FIG3_A0, order)
+    assert rectify_assignment(FIG6_C) == rectify_assignment(FIG6_C)
+    # Rebuilt with one field changed: the initial state, one trigger or one move.
+    names = ("initial", "_kind", "_args", "_log", "_ends")
+    initial, kind, args, log, ends = map(vars(trace).get, names)
+    assert ReassignmentTrace(initial, kind, list(args), list(log), list(ends)) == trace
+    with_caps = HmtState(FIG3_A0.shape, FIG3_A0.occupancy, default_capacity_grid(FIG3_A0.shape))
+    moved = list(log)
+    moved[1] = 4  # the first move's task
+    for other in (
+        ReassignmentTrace(with_caps, kind, args, log, ends),
+        ReassignmentTrace(initial, kind, [2, *args[1:]], log, ends),
+        ReassignmentTrace(initial, kind, args, moved, ends),
+    ):
+        assert other != trace and trace != other
+    assert trace != (trace.initial, trace.events) and trace != object()
+    # No event: the trigger kind is never read.
+    assert reassignment_sequence(FIG3_A0, []) == rectify_assignment(FIG3_A0)
 
 
 def test_rectify_assignment_confluent_for_small_inner_shapes():

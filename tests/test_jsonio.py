@@ -288,6 +288,7 @@ def test_write_trace_matches_canonical_dumps(trace):
     text, writes = written(trace)
     assert text == canonical_dumps(encode_trace(trace))
     assert writes == len(trace.events) + 1
+    assert encode_trace(trace) == oracles.encode_trace(oracles.Trace(trace.initial, trace.events))
 
 
 # The state fixture and completions (None: a rectification) behind each golden "trace".

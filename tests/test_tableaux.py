@@ -6,12 +6,10 @@ from conftest import enumerate_skew_fillings, normal_partial_tableaux_st
 from taquin.errors import DomainError, TableauError
 from taquin.partitions import Cell, SkewShape, count_syt, partitions_of
 from taquin.tableaux import (
-    FillKind,
-    ShapeKind,
     Tableau,
     _at,
-    classify,
     is_partial,
+    is_standard,
     reading_word,
     reverse_bump,
     row_insert,
@@ -22,29 +20,26 @@ T4 = Tableau.skew((4, 3, 2, 2), (2, 1), [[None, None, 1, 6], [None, 3, 4], [2, 5
 
 
 def test_classify_standard_and_generalized():
-    assert classify(Tableau.normal([[1, 3, 5], [2, 4], [6]])) == (
-        FillKind.STANDARD,
-        ShapeKind.NORMAL,
-    )
-    assert classify(Tableau.normal([[1, 3, 5], [4, 2], [6]])) == (
-        FillKind.GENERALIZED,
-        ShapeKind.NORMAL,
-    )
+    standard = Tableau.normal([[1, 3, 5], [2, 4], [6]])
+    assert is_standard(standard) and standard.shape.is_normal
+    generalized = Tableau.normal([[1, 3, 5], [4, 2], [6]])
+    assert not is_partial(generalized) and generalized.shape.is_normal
 
 
 def test_classify_partial_skew():
     skew = Tableau.skew(
         (4, 3, 3, 2), (2, 2), [[None, None, 1, 7], [None, None, 3], [2, 4, 5], [6, 9]]
     )
-    assert classify(skew) == (FillKind.PARTIAL, ShapeKind.SKEW)
+    assert is_partial(skew) and not is_standard(skew) and not skew.shape.is_normal
     not_increasing = Tableau.skew(
         (4, 3, 3, 2), (2, 2), [[None, None, 1, 7], [None, None, 5], [2, 4, 3], [6, 9]]
     )
-    assert classify(not_increasing) == (FillKind.GENERALIZED, ShapeKind.SKEW)
+    assert not is_partial(not_increasing) and not not_increasing.shape.is_normal
 
 
 def test_classify_empty_tableau():
-    assert classify(Tableau.normal([])) == (FillKind.STANDARD, ShapeKind.NORMAL)
+    empty = Tableau.normal([])
+    assert is_standard(empty) and empty.shape.is_normal
 
 
 def test_structural_errors():
