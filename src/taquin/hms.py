@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, chain, compress, count, repeat
 from math import gcd, lcm
-from operator import floordiv, lt, mul, truediv
+from operator import add, floordiv, lt, mul, truediv
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, InvalidStateError, ResourceLimitError, ShapeError
@@ -144,9 +144,9 @@ class HmtState:
         raise DomainError(f"task {task!r} is not assigned")
 
     def _snapshot(self, occupancy: tuple[tuple[int | None, ...], ...]) -> HmtState:
-        """This mesh holding ``occupancy``, unchecked: it may only move or drop tasks."""
+        """This mesh holding ``occupancy``, unchecked, unmarked: it may only move or drop tasks."""
         snapshot = object.__new__(HmtState)
-        vars(snapshot).update(vars(self), occupancy=occupancy)
+        vars(snapshot).update(shape=self.shape, occupancy=occupancy, capacities=self.capacities)
         return snapshot
 
 
@@ -245,8 +245,10 @@ class ReassignmentTrace:
 
 
 def _require_standard_normal(state: HmtState, op: str) -> None:
-    # One pass: each row a filled prefix no longer than the one above, entries increasing
-    # along rows and down columns.  Only a state that fails is classified, for its error.
+    # One pass: each row a filled prefix no longer than the one above, entries increasing along
+    # rows and down columns.  A state that passes is marked; one that fails is classified.
+    if "_standard_normal" in vars(state):
+        return
     above = [0] * max(state.shape.parts, default=0)
     for row in state.occupancy:
         n = len(row) if all(row) else row.index(None)  # task IDs are positive
@@ -256,6 +258,7 @@ def _require_standard_normal(state: HmtState, op: str) -> None:
             break
         above = filled
     else:
+        vars(state)["_standard_normal"] = True
         return
     kind, form = classify_state(state)
     if kind is not StateKind.STANDARD or form is not ShapeKind.NORMAL:
@@ -294,12 +297,15 @@ def reassignment_sequence(a0: HmtState, completions: Iterable[int]) -> Reassignm
     # idle and padding cells holding the sentinel ``flat[-1]``.  ``where`` maps each task to its
     # offset; the kernel stores each moved task's new one, so a cascade starts at ``where.pop``.
     where = {task: k for k, task in enumerate(flat) if task < flat[-1]}
-    missing = [task for task in completions if not _is_positive_int(task) or task not in where]
-    # Every completion that is no task ID is missing; only task IDs are sure to be hashable.
-    if all(map(_is_positive_int, missing)) and len(set(completions)) != len(completions):
-        raise DomainError("completion sequence repeats a task")
-    if missing:
-        raise DomainError(f"completion of unassigned task {missing[0]!r}")
+    # Distinct assigned ``int``s pass three set tests; any other sequence is scanned for its error.
+    ints = set(map(type, completions)) <= {int}
+    if not (ints and where.keys() >= (ids := set(completions)) and len(ids) == len(completions)):
+        missing = [task for task in completions if not _is_positive_int(task) or task not in where]
+        # Every completion that is no task ID is missing; only task IDs are sure to be hashable.
+        if all(map(_is_positive_int, missing)) and len(set(completions)) != len(completions):
+            raise DomainError("completion sequence repeats a task")
+        if missing:
+            raise DomainError(f"completion of unassigned task {missing[0]!r}")
 
     for task in completions[: len(where) - 1]:
         _slide(flat, where.pop(task), 1, w, log, where)
@@ -368,25 +374,33 @@ class TurnaroundReport:
         return vars(self).setdefault("per_task", self._runs())
 
 
-def _exact_sum(ps: list[int], qs: list[int], d: int, c: int) -> tuple[int, int]:
-    """The sum of p/q times d/c as (numerator, denominator), stopping where a per-term sum does.
+def _exact_sum(a: tuple, b: tuple, d: int, c: int, ds=(), cs=()) -> tuple[int, int]:
+    """Sum a/b (times ds/cs term by term, if given) times d/c, stopping where a per-term sum does.
 
     Terms are positive and a prefix's lcm divides its run's, so no partial sum in a run passes
     what ``str`` prints (a digit is under 10/3 bits; 0: no limit) if the run's scaled end does
     not; from a run that does, terms are added one at a time and reduced past the limit.
     """
+    def terms(i: int, j: int) -> tuple:  # terms i..j-1, each product built when it is read
+        p, q = a[i:j], b[i:j]
+        return (p, q) if not cs else (map(mul, p, ds[i:j]), map(mul, q, cs[i:j]))
+
     digits = getattr(sys, "get_int_max_str_digits", int)()
-    bits, ends, num, den, i = digits * 10 // 3, [0, *accumulate(map(int.bit_length, qs))], 0, 1, 0
-    while i < len(qs):
+    sizes = map(int.bit_length, b)  # bounds on the terms' denominators: bl(b*c) <= bl(b) + bl(c)
+    sizes = map(add, sizes, map(int.bit_length, cs)) if cs else sizes
+    bits, ends, num, den, i = digits * 10 // 3, [0, *accumulate(sizes)], 0, 1, 0
+    while i < len(b):
         # The longest run whose denominators' bits fit beside the sum's: ``den`` if none fits.
-        j = bisect(ends, ends[i] + bits - den.bit_length()) - 1 if digits else len(qs)
-        run = lcm(den, *qs[i:j])
-        top = num * (run // den) + sum(map(mul, ps[i:j], map(floordiv, repeat(run), qs[i:j])))
+        j = bisect(ends, ends[i] + bits - den.bit_length()) - 1 if digits else len(b)
+        ps, qs = map(list, terms(i, j))
+        run = lcm(den, *qs)
+        top = num * (run // den) + sum(map(mul, ps, map(floordiv, repeat(run), qs)))
         if j <= i or digits and max(top * d, run * c).bit_length() > bits:
             break
         num, den, i = top, run, j
     num, den = num * d, den * c
-    for p, q in zip(map(mul, ps[i:], repeat(d)), map(mul, qs[i:], repeat(c))):
+    ps, qs = terms(i, len(b))
+    for p, q in zip(map(mul, ps, repeat(d)), map(mul, qs, repeat(c))):
         g = gcd(den, q)
         num, den = num * (q // g) + p * (den // g), den * (q // g)
         if max(num, den).bit_length() > bits:
@@ -414,8 +428,7 @@ def turnaround_sequential(
         raise DomainError("capacity grid shape differs from state shape")
     _require_standard_normal(a0, "turnaround_sequential")
     flat = list(chain.from_iterable(a0.occupancy))
-    ids = list(filter(None, flat))
-    m = len(ids)
+    m = len(ids := list(filter(None, flat)))
     if max(ids, default=0) != m:  # m distinct positive IDs are 1..m when m is the largest
         raise DomainError("assigned tasks must be exactly 1..m")
     if tasks.m != m:
@@ -430,7 +443,7 @@ def turnaround_sequential(
         starts = range(1, m + 1)
         rates = list(map(rates.__getitem__, sorted(range(m), key=ids.__getitem__)))
         c, d = tuple(zip(*map(Fraction.as_integer_ratio, rates))) or ((), ())
-        num, den = _exact_sum(list(map(mul, a, d)), list(map(mul, b, c)), 1, 1)
+        num, den = _exact_sum(a, b, 1, 1, d, c)
 
     def runs() -> tuple[TaskRun, ...]:
         durations = map(truediv, tasks.requirements, rates)

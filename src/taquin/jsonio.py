@@ -171,10 +171,12 @@ def decode_task_set(obj: Any) -> TaskSet:
 
 
 def encode_trace(trace: ReassignmentTrace) -> dict:
-    """The trace as a JSON tree, from its replay (``ReassignmentTrace.replay``) and move log."""
+    """The trace as a JSON tree, from its replay and move log; each rate is encoded only once."""
     a0, events = trace.initial, []
-    cells = _cell_table(a0.occupancy)
+    cells, initial = _cell_table(a0.occupancy), encode_hmt_state(a0)
+    rates = initial.get("capacities")
     for kind, arg, log, rows in trace.replay():
+        state = {"shape": [*initial["shape"]], "cells": [*map(list, rows)]}
         events.append({
             "trigger": {"completed": arg} if kind is Completion
             else {"rectify_corner": encode_cell(arg)},
@@ -182,10 +184,10 @@ def encode_trace(trace: ReassignmentTrace) -> dict:
                 {"task": task, "from": encode_cell(cells[src]), "to": encode_cell(cells[dst])}
                 for task, src, dst in _moves(log)
             ],
-            "state": encode_hmt_state(a0._snapshot(rows)),
+            "state": state if rates is None else {**state, "capacities": [*map(list, rates)]},
             **({} if log else {"noop": True}),
         })
-    return {"initial": encode_hmt_state(a0), "events": events}
+    return {"initial": initial, "events": events}
 
 
 # --- the trace writer ------------------------------------------------------

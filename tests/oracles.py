@@ -6,7 +6,8 @@ completion cascade, rectification and RSK step is written out on its own,
 with validation on every call.  The random filling and the region
 derivation are the earlier versions built on sets and maps of cells.  The
 tests in ``test_kernels.py`` require the library to agree with them move for
-move.  ``knuth_neighbors`` and ``knuth_reachable_oracle`` decide Knuth
+move.  ``completion_error`` is the scan that once checked every completion
+sequence.  ``knuth_neighbors`` and ``knuth_reachable_oracle`` decide Knuth
 equivalence by brute force, independently of insertion tableaux.
 ``encode_trace`` renders a test-side trace from its events, where the
 library's encoder and writer read the move log.  ``verify_trace`` shares
@@ -40,7 +41,14 @@ from taquin.hms import (
     classify_state,
 )
 from taquin.jsonio import encode_cell, encode_hmt_state
-from taquin.partitions import Cell, Partition, SkewShape, inner_corners, outer_corners
+from taquin.partitions import (
+    Cell,
+    Partition,
+    SkewShape,
+    _is_positive_int,
+    inner_corners,
+    outer_corners,
+)
 from taquin.rsk import Permutation
 from taquin.tableaux import ShapeKind, Tableau, _at, _cells
 
@@ -456,6 +464,18 @@ def reassignment_sequence(a0: HmtState, completions: Iterable[int]) -> Trace:
             # The last task's completion empties the workload but moves nothing.
             events.append(TraceEvent(Completion(task), (), state, noop=True))
     return Trace(a0, tuple(events))
+
+
+def completion_error(a0: HmtState, completions: list) -> str | None:
+    """The message ``hms.reassignment_sequence`` raises for ``completions`` on a standard normal
+    ``a0``, or None where it accepts them: the scan it ran on every sequence before its set tests.
+    """
+    assigned = a0.task_cells()
+    missing = [task for task in completions if not _is_positive_int(task) or task not in assigned]
+    # Every completion that is no task ID is missing; only task IDs are sure to be hashable.
+    if all(map(_is_positive_int, missing)) and len(set(completions)) != len(completions):
+        return "completion sequence repeats a task"
+    return f"completion of unassigned task {missing[0]!r}" if missing else None
 
 
 def rectify_assignment(a0: HmtState, slide_policy: SlidePolicy = first_corner) -> Trace:

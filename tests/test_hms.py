@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 import operator
+import pickle
 import re
 import sys
 import threading
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import shape_cells, slide_until_normal, state_from_tableau
-from taquin.errors import DomainError, InvalidStateError
+from taquin.errors import DomainError, InvalidStateError, TaquinError
 from taquin.hms import (
     CapacityGrid,
     Completion,
@@ -326,6 +328,50 @@ def test_reassign_on_completion_finds_exactly_the_assigned_task_ids(state, task)
         reassign_on_completion(state, task)
     assert type(caught.value) is DomainError
     assert str(caught.value) == f"task {task!r} is not assigned"
+
+
+class TaskId(int):
+    """A task ID of a subclass of ``int``: it fails the set tests' type check, not the scan."""
+
+
+def test_reassignment_sequence_accepts_int_subclasses_and_the_empty_sequence():
+    assert reassignment_sequence(FIG3_A0, [TaskId(1), 3]) == reassignment_sequence(FIG3_A0, [1, 3])
+    assert reassignment_sequence(FIG3_A0, [3, TaskId(1)]).final.occupancy == (
+        reassignment_sequence(FIG3_A0, [3, 1]).final.occupancy
+    )
+    empty = reassignment_sequence(FIG3_A0, iter(()))
+    assert empty.states == (FIG3_A0,) and empty.events == ()
+
+
+COMPLETION_ENTRIES = st.one_of(
+    st.integers(-1, 11),
+    st.sampled_from([True, False, 1.0, 2.5, "3", None, TaskId(2), TaskId(11)]),
+    st.lists(st.integers(1, 3), max_size=2),
+)
+
+
+@st.composite
+def completion_lists(draw, state: HmtState) -> list:
+    """A prefix of a random order of ``state``'s tasks with up to two entries of any kind inserted."""
+    order = list(draw(st.permutations(sorted(state.task_cells()))))
+    order = order[: draw(st.integers(0, len(order)))]
+    for _ in range(draw(st.integers(0, 2))):
+        order.insert(draw(st.integers(0, len(order))), draw(COMPLETION_ENTRIES))
+    return order
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([FIG3_A0, PARTIAL_2X2]), st.data())
+def test_completion_checks_accept_and_report_as_the_scan_did(state, data):
+    completions = data.draw(completion_lists(state))
+    expected = oracles.completion_error(state, completions)
+    try:
+        trace = reassignment_sequence(state, completions)
+    except DomainError as exc:
+        assert type(exc) is DomainError and str(exc) == expected
+    else:
+        assert expected is None
+        assert trace == reassignment_sequence(state, list(map(int, completions)))
 
 
 @pytest.mark.parametrize("state,task,cell", [(FIG3_A0, 9, (3, 3)), (PARTIAL_2X2, 3, (2, 1))])
@@ -699,6 +745,86 @@ def test_naive_slide_up_preserves_capacities():
     assert naive_slide_up(state).capacities == caps
 
 
+# --- the mark of a checked state ------------------------------------------------
+
+
+MARK = "_standard_normal"  # the key a state that passed the standard-normal check holds
+
+
+def unmarked(state: HmtState) -> HmtState:
+    return HmtState(state.shape, state.occupancy, state.capacities)
+
+
+def outcomes(state: HmtState) -> list:
+    """What each operation that needs a standard normal state does with ``state``."""
+    tasks, caps = TaskSet((1,) * state.shape.n), default_capacity_grid(state.shape)
+    calls = (
+        lambda: reassign_on_completion(state, 1),
+        lambda: reassignment_sequence(state, [1]),
+        lambda: turnaround_sequential(state, tasks, caps, relocate=False),
+        lambda: turnaround_sequential(state, tasks, caps, relocate=True),
+    )
+    results = []
+    for call in calls:
+        try:
+            results.append(call())
+        except TaquinError as exc:
+            results.append((type(exc), str(exc)))
+    return results
+
+
+@pytest.mark.parametrize("capacities", [False, True])
+def test_a_marked_state_equals_hashes_prints_and_pickles_as_an_unmarked_copy(capacities):
+    caps = default_capacity_grid(FIG3_A0.shape) if capacities else None
+    state = HmtState(FIG3_A0.shape, FIG3_A0.occupancy, caps)
+    copy, expected = unmarked(state), outcomes(unmarked(state))
+    assert outcomes(state) == expected  # the first call marks ``state``
+    assert MARK in vars(state) and MARK not in vars(copy)
+    loaded = pickle.loads(pickle.dumps(state))
+    for marked in (state, loaded):
+        assert marked == copy and copy == marked and hash(marked) == hash(copy)
+        assert repr(marked) == repr(copy)
+        assert pickle.loads(pickle.dumps(copy)) == marked
+    assert dataclasses.replace(state) == copy and MARK not in vars(dataclasses.replace(state))
+    assert outcomes(loaded) == outcomes(state) == expected
+
+
+def test_a_state_that_fails_the_check_is_never_marked():
+    messages = [(DomainError, f"{op} needs a standard state of normal shape") for op in (
+        "reassign_on_completion", "reassignment_sequence", "turnaround_sequential",
+        "turnaround_sequential",
+    )]
+    for failing in (FIG6_C, FIG6_B, FIG4_T1):
+        state = unmarked(failing)
+        assert outcomes(state) == outcomes(state) == messages
+        assert MARK not in vars(state)
+    # A marked state is still checked for what the mark does not cover: its task IDs.
+    gapped = HmtState.of((2, 2), [[1, 2], [3, 5]])
+    first, second = outcomes(gapped), outcomes(gapped)
+    assert MARK in vars(gapped) and first == second
+    assert first[2:] == [(DomainError, "assigned tasks must be exactly 1..m")] * 2
+
+
+def test_snapshots_of_a_marked_state_are_unmarked_and_checked_again():
+    full = HmtState.of((4, 4, 4, 4), [range(1, 5), range(5, 9), range(9, 13), range(13, 17)])
+    outcomes(full)
+    assert MARK in vars(full)
+    skew, generalized = full._snapshot(FIG4_T1.occupancy), full._snapshot(FIG6_B.occupancy)
+    refused = [skew, naive_slide_up(skew), generalized, naive_slide_up(generalized)]
+    for state in refused:
+        results = outcomes(state)
+        assert results == outcomes(unmarked(state))
+        assert all(isinstance(result, tuple) for result in results)  # each call is refused
+    snapshots = [
+        *refused,
+        naive_slide_up(full),
+        reassign_on_completion(full, 1)[0],
+        *reassignment_sequence(full, range(1, 17)).states[1:],
+        *rectify_assignment(skew).states[1:],
+    ]
+    assert all(vars(s).keys() == {"shape", "occupancy", "capacities"} for s in snapshots)
+
+
 # --- reassignment equivalence --------------------------------------------------
 
 
@@ -839,3 +965,51 @@ def test_descent_swap_strictly_improves_cost():
             swapped[a], swapped[b] = swapped[b], swapped[a]
             assert cost(swapped) < cost(assignment)
             checked += 1
+
+
+RATE_ROWS = [[12, 6, 4], [6, 4, 3], [4, 3, 2]]  # strictly decreasing along rows and columns
+REQUIREMENTS = [3, 1, 4, 1, 5, 9, 2, 6, 5]
+INSTANCES = {  # a full 3 x 3 mesh's rates and requirements, given as each kind of input
+    "ints": (RATE_ROWS, REQUIREMENTS),
+    "strings": (
+        [["24/2", "6", "8/3"], ["6/1", "8/3", "5/2"], ["8/3", "5/2", "1/7"]],
+        [f"{r}/{k + 2}" for k, r in enumerate(REQUIREMENTS)],
+    ),
+    "fractions": (
+        [[Fraction(r, 7) for r in row] for row in RATE_ROWS],
+        [Fraction(r, 10 - k) for k, r in enumerate(REQUIREMENTS)],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", INSTANCES)
+def test_turnaround_of_int_string_and_fraction_inputs_matches_the_oracle(kind):
+    rates, requirements = INSTANCES[kind]
+    caps, tasks = CapacityGrid(Partition((3, 3, 3)), rates), TaskSet(requirements)
+    assert caps.rates == tuple(tuple(map(Fraction, row)) for row in rates)
+    assert tasks.requirements == tuple(map(Fraction, requirements))
+    for state in (FIG3_A0, HmtState.of((3, 3, 3), [[1, 2, 3], [4, 5, 6], [7, 8, 9]])):
+        for relocate in (False, True):
+            report = turnaround_sequential(state, tasks, caps, relocate)
+            assert report == oracles.turnaround_sequential(state, tasks, caps, relocate)
+
+
+def test_task_sets_and_capacity_grids_compare_replace_and_pickle_by_their_fields():
+    tasks = TaskSet((1, "2/3", Fraction(10, 14)))
+    caps = CapacityGrid(Partition((2, 2)), ((3, "5/2"), (Fraction(4, 2), "1")))
+    same_tasks = TaskSet((Fraction(1), Fraction(2, 3), Fraction(5, 7)))
+    same_caps = CapacityGrid(Partition((2, 2)), ((3, Fraction(5, 2)), (2, 1)))
+    for value, same in ((tasks, same_tasks), (caps, same_caps)):
+        assert value == same and hash(value) == hash(same) and repr(value) == repr(same)
+        assert vars(value).keys() == vars(same).keys() == {f.name for f in dataclasses.fields(value)}
+        loaded = pickle.loads(pickle.dumps(value))
+        assert loaded == same and vars(loaded) == vars(same)
+    longer = dataclasses.replace(tasks, requirements=(4, "1/2", 6, 8))
+    assert longer.requirements == (4, Fraction(1, 2), 6, 8)
+    scaled = dataclasses.replace(caps, rates=((6, 5), (4, 2)))
+    assert scaled.rates == ((6, 5), (4, 2)) and all(type(r) is Fraction for r in scaled.rates[0])
+    state = HmtState.of((2, 2), [[1, 2], [3, 4]])
+    for relocate in (False, True):
+        report = turnaround_sequential(state, longer, scaled, relocate)
+        assert report == oracles.turnaround_sequential(state, longer, scaled, relocate)
+    assert TaskSet(()) == pickle.loads(pickle.dumps(TaskSet(())))

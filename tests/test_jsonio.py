@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taquin import figures
+from taquin import figures, jsonio
 from taquin.errors import DomainError, ResourceLimitError, ShapeError, TaquinError
 from taquin.hms import (
     Completion,
@@ -289,6 +289,29 @@ def test_write_trace_matches_canonical_dumps(trace):
     assert text == canonical_dumps(encode_trace(trace))
     assert writes == len(trace.events) + 1
     assert encode_trace(trace) == oracles.encode_trace(oracles.Trace(trace.initial, trace.events))
+
+
+@pytest.mark.parametrize("capacities", [False, True])
+def test_encode_trace_encodes_the_capacities_once(monkeypatch, capacities):
+    rng = Random(9)
+    mesh = Partition((6,) * 5)
+    caps = random_hierarchical_capacities(rng, mesh) if capacities else None
+    a0 = HmtState(mesh, random_standard_filling(rng, SkewShape(mesh)).rows, caps)
+    skew = HmtState(mesh, random_standard_filling(rng, SkewShape(mesh, Partition((4, 2)))).rows, caps)
+    order = list(range(1, 31))
+    rng.shuffle(order)
+    for trace in (reassignment_sequence(a0, order), rectify_assignment(skew)):
+        assert len(trace.events) > 1
+        expected = oracles.encode_trace(oracles.Trace(trace.initial, trace.events))
+        rates: list = []
+        monkeypatch.setattr(jsonio, "encode_fraction", lambda r: rates.append(r) or encode_fraction(r))
+        encoded = encode_trace(trace)
+        monkeypatch.undo()
+        assert encoded == expected
+        assert len(rates) == (30 if capacities else 0)  # the initial state's rates alone
+        states = [encoded["initial"], *(event["state"] for event in encoded["events"])]
+        lists = [[s["shape"], *s.get("capacities", ()), s.get("capacities", [])] for s in states]
+        assert len({id(x) for group in lists for x in group}) == sum(map(len, lists))  # none shared
 
 
 # The state fixture and completions (None: a rectification) behind each golden "trace".
