@@ -53,7 +53,7 @@ SEED_ENV_VAR = "TAQUIN_SEED"
 # Times: a child process's wall time at the bound, best of 5 (Python 3.11.7, 2 shared vCPUs).
 MAX_COUNT_CELLS = 2000  # f <= sqrt(n!) then prints within the 4300-digit int-to-str limit
 MAX_IDENTITY_N = 40  # the check walks all p(n) shapes: ~1.2 s at n=40; n=50 ~7 s in process
-MAX_RANDOM_TRIALS = 10000  # about 0.14 ms a trial, so about 1.4 s
+MAX_RANDOM_TRIALS = 10000  # about 0.12 ms a trial, so about 1.2 s
 MAX_RSK_N = 5000  # a decreasing word bumps n^2/2 times: ~1.4 s at n=5000, ~0.8 s to invert
 MAX_TURNAROUND_CELLS = 1024  # bounds the exact rational sums, one term per task
 # A trace's text holds one full state per event, and each cascade makes fewer

@@ -36,6 +36,11 @@ def _require_canonical(shape: Partition) -> None:
         raise DomainError(f"shape {shape.parts} is not canonical (equal row lengths)")
 
 
+def _fraction(value: object) -> Fraction:
+    """``value`` itself when it is exactly a ``Fraction``, else ``Fraction(value)``."""
+    return value if type(value) is Fraction else Fraction(value)
+
+
 @dataclass(frozen=True)
 class CapacityGrid:
     """Execution rate per processor cell, strictly decreasing along rows and columns."""
@@ -45,18 +50,25 @@ class CapacityGrid:
 
     def __post_init__(self) -> None:
         _require_canonical(self.shape)
-        rates = tuple(tuple(Fraction(r) for r in row) for row in self.rates)
+        rates = tuple(tuple(map(_fraction, row)) for row in self.rates)
         object.__setattr__(self, "rates", rates)
         if tuple(map(len, rates)) != self.shape.parts:
             raise DomainError("capacity grid does not match its shape")
-        for i, row in enumerate(rates):
-            for j, rate in enumerate(row):
-                if rate <= 0:
-                    raise DomainError(f"capacity at ({i + 1},{j + 1}) must be positive")
-                if j and row[j - 1] <= rate:
-                    raise DomainError(f"capacities must strictly decrease along row {i + 1}")
-                if i and rates[i - 1][j] <= rate:
-                    raise DomainError(f"capacities must strictly decrease down column {j + 1}")
+        # On integer pairs: c/d <= c'/d' exactly when c*d' <= c'*d.  (1, 0) stands
+        # for an infinite rate left of the first column and above the first row.
+        upper = [(1, 0)] * self.shape.row_len(1)
+        for i, row in enumerate(rates, start=1):
+            pairs = list(map(Fraction.as_integer_ratio, row))
+            lc, ld = 1, 0
+            for j, (c, d), (uc, ud) in zip(count(1), pairs, upper):
+                if c <= 0:
+                    raise DomainError(f"capacity at ({i},{j}) must be positive")
+                if lc * d <= c * ld:
+                    raise DomainError(f"capacities must strictly decrease along row {i}")
+                if uc * d <= c * ud:
+                    raise DomainError(f"capacities must strictly decrease down column {j}")
+                lc, ld = c, d
+            upper = pairs
 
 
 def default_capacity_grid(shape: Partition) -> CapacityGrid:
@@ -75,10 +87,10 @@ class TaskSet:
     requirements: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        reqs = tuple(Fraction(r) for r in self.requirements)
+        reqs = tuple(map(_fraction, self.requirements))
         object.__setattr__(self, "requirements", reqs)
-        for task, requirement in enumerate(reqs, start=1):
-            if requirement <= 0:
+        for task, (c, _) in enumerate(map(Fraction.as_integer_ratio, reqs), start=1):
+            if c <= 0:
                 raise DomainError(f"requirement of task {task} must be positive")
 
     @property

@@ -7,6 +7,7 @@ reproducibility; nothing here touches global RNG state.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 from .hms import CapacityGrid, HmtState, TaskSet
@@ -107,21 +108,24 @@ def random_hierarchical_capacities(rng: Random, shape: Partition) -> CapacityGri
     """Random positive rational rates strictly decreasing along rows and columns."""
     rows = shape.num_rows
     cols = shape.row_len(1)
-    rates: list[list[Fraction]] = [[Fraction(0)] * cols for _ in range(rows)]
+    upper: list[tuple[int, int]] = []  # reduced (numerator, denominator) pairs
+    rates: list[tuple[Fraction, ...]] = []
     for i in range(rows):
+        row: list[tuple[int, int]] = []
         for j in range(cols):
-            neighbours = []
-            if i:
-                neighbours.append(rates[i - 1][j])
-            if j:
-                neighbours.append(rates[i][j - 1])
-            if neighbours:
-                # Strictly below both the upper and left neighbour.
-                cap = min(neighbours)
-                rates[i][j] = cap * Fraction(rng.randint(1, 9), 10)
+            if i or j:
+                # Strictly below both neighbours: the smaller (upper on a tie) times s/10.
+                c, d = upper[j] if i else row[j - 1]
+                if i and j and row[j - 1][0] * d < c * row[j - 1][1]:
+                    c, d = row[j - 1]
+                c, d = c * rng.randint(1, 9), d * 10
+                g = gcd(c, d)
+                row.append((c // g, d // g))
             else:
-                rates[i][j] = Fraction(rng.randint(1, 64), rng.randint(1, 8))
-    return CapacityGrid(shape, tuple(tuple(row) for row in rates))
+                row.append(Fraction(rng.randint(1, 64), rng.randint(1, 8)).as_integer_ratio())
+        rates.append(tuple(Fraction(c, d) for c, d in row))
+        upper = row
+    return CapacityGrid(shape, tuple(rates))
 
 
 def random_requirements(rng: Random, m: int) -> TaskSet:

@@ -20,6 +20,7 @@ from random import Random
 from taquin.cli import MAX_RSK_N
 from taquin.errors import ResourceLimitError
 from taquin.hms import (
+    CapacityGrid,
     HmtState,
     TaskSet,
     reassign_on_completion,
@@ -28,7 +29,7 @@ from taquin.hms import (
     turnaround_sequential,
 )
 from taquin.jdt import backward_slide_trace, forward_slide_trace
-from taquin.jsonio import encode_trace
+from taquin.jsonio import decode_capacity_grid, encode_capacity_rates, encode_trace
 from taquin.partitions import Cell, Partition, SkewShape
 from taquin.randgen import (
     random_hierarchical_capacities,
@@ -149,6 +150,23 @@ def turnarounds() -> str:
     return "turnaround_sequential, best of 3: " + ", ".join(line)
 
 
+def constructions() -> str:
+    """Building a full 32x32 mesh's inputs: the random grid, the grid and a task set from
+    ``Fraction`` entries, and the grid decoded from its JSON object."""
+    rng, shape = Random(1), Partition((32,) * 32)
+    caps = random_hierarchical_capacities(rng, shape)
+    requirements = random_requirements(rng, shape.n).requirements
+    obj = {"shape": list(shape.parts), "c": encode_capacity_rates(caps)}
+    builds = (
+        ("random_hierarchical_capacities", lambda: random_hierarchical_capacities(rng, shape)),
+        ("CapacityGrid", lambda: CapacityGrid(shape, caps.rates)),
+        ("TaskSet", lambda: TaskSet(requirements)),
+        ("decode_capacity_grid", lambda: decode_capacity_grid(obj)),
+    )
+    line = [f"{name} {best_ms(build):.2f} ms" for name, build in builds]
+    return "32x32 inputs, best of 3: " + ", ".join(line)
+
+
 def single_completions() -> str:
     """One completion on a full 32x32 mesh, best of 20 calls per task."""
     a0 = full_mesh(Random(1), 32, 32)
@@ -191,5 +209,5 @@ def cli_start() -> str:
 
 if __name__ == "__main__":
     for report in (priority_order_completions, trace_readers, other_slides, turnarounds,
-                   single_completions, rsk_round_trip, cli_start):
+                   constructions, single_completions, rsk_round_trip, cli_start):
         print(report(), flush=True)

@@ -7,7 +7,10 @@ with validation on every call.  The random filling and the region
 derivation are the earlier versions built on sets and maps of cells.  The
 tests in ``test_kernels.py`` require the library to agree with them move for
 move.  ``completion_error`` is the scan that once checked every completion
-sequence.  ``knuth_neighbors`` and ``knuth_reachable_oracle`` decide Knuth
+sequence, and ``capacity_grid_error`` and ``task_set_error`` are the
+``Fraction`` comparisons that once checked every capacity grid and task
+set; ``random_hierarchical_capacities`` is the generator before it drew in
+integer pairs.  ``knuth_neighbors`` and ``knuth_reachable_oracle`` decide Knuth
 equivalence by brute force, independently of insertion tableaux.
 ``encode_trace`` renders a test-side trace from its events, where the
 library's encoder and writer read the move log.  ``verify_trace`` shares
@@ -476,6 +479,60 @@ def completion_error(a0: HmtState, completions: list) -> str | None:
     if all(map(_is_positive_int, missing)) and len(set(completions)) != len(completions):
         return "completion sequence repeats a task"
     return f"completion of unassigned task {missing[0]!r}" if missing else None
+
+
+def capacity_grid_error(shape: Partition, rates: Iterable[Iterable[object]]) -> Exception | None:
+    """What ``CapacityGrid(shape, rates)`` raises, or None where it accepts: its checks as
+    ``Fraction`` comparisons, before they ran on integer pairs."""
+    try:
+        if len(set(shape.parts)) > 1:
+            raise DomainError(f"shape {shape.parts} is not canonical (equal row lengths)")
+        grid = tuple(tuple(Fraction(r) for r in row) for row in rates)
+        if tuple(map(len, grid)) != shape.parts:
+            raise DomainError("capacity grid does not match its shape")
+        for i, row in enumerate(grid):
+            for j, rate in enumerate(row):
+                if rate <= 0:
+                    raise DomainError(f"capacity at ({i + 1},{j + 1}) must be positive")
+                if j and row[j - 1] <= rate:
+                    raise DomainError(f"capacities must strictly decrease along row {i + 1}")
+                if i and grid[i - 1][j] <= rate:
+                    raise DomainError(f"capacities must strictly decrease down column {j + 1}")
+    except (DomainError, TypeError, ValueError, ZeroDivisionError) as exc:
+        return exc
+    return None
+
+
+def task_set_error(requirements: Iterable[object]) -> Exception | None:
+    """What ``TaskSet(requirements)`` raises, or None where it accepts: its check as
+    ``Fraction`` comparisons, before it ran on integer pairs."""
+    try:
+        for task, requirement in enumerate(tuple(map(Fraction, requirements)), start=1):
+            if requirement <= 0:
+                raise DomainError(f"requirement of task {task} must be positive")
+    except (DomainError, TypeError, ValueError, ZeroDivisionError) as exc:
+        return exc
+    return None
+
+
+def random_hierarchical_capacities(rng: Random, shape: Partition) -> CapacityGrid:
+    """Random positive rational rates strictly decreasing along rows and columns, drawn in
+    ``Fraction`` arithmetic: each rate is the smaller neighbour's times a random tenth."""
+    rows = shape.num_rows
+    cols = shape.row_len(1)
+    rates: list[list[Fraction]] = [[Fraction(0)] * cols for _ in range(rows)]
+    for i in range(rows):
+        for j in range(cols):
+            neighbours = []
+            if i:
+                neighbours.append(rates[i - 1][j])
+            if j:
+                neighbours.append(rates[i][j - 1])
+            if neighbours:
+                rates[i][j] = min(neighbours) * Fraction(rng.randint(1, 9), 10)
+            else:
+                rates[i][j] = Fraction(rng.randint(1, 64), rng.randint(1, 8))
+    return CapacityGrid(shape, tuple(tuple(row) for row in rates))
 
 
 def rectify_assignment(a0: HmtState, slide_policy: SlidePolicy = first_corner) -> Trace:

@@ -134,6 +134,87 @@ def test_task_set_validation():
         decode_task_set({"1": 1, "3": 2})
 
 
+class Ratio(Fraction):
+    """A ``Fraction`` subclass: the constructors store a plain ``Fraction`` of its value."""
+
+
+@st.composite
+def rational_entries(draw, value: Fraction) -> object:
+    """``value`` as a ``Fraction``, a ``Ratio``, a ``"p/q"`` string, or an int where it is one."""
+    forms = [value, Ratio(value), f"{value.numerator}/{value.denominator}", str(value)]
+    if value.denominator == 1:
+        forms.append(int(value))
+    return draw(st.sampled_from(forms))
+
+
+RATIONALS = st.builds(Fraction, st.integers(-3, 12), st.integers(1, 4))
+
+
+@st.composite
+def capacity_inputs(draw) -> tuple[Partition, list[list[object]]]:
+    """A strictly decreasing grid with up to two faults: an entry replaced by 0, a negative,
+    its left or upper neighbour, or any small rational; or a row one entry short."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    top = Fraction(draw(st.integers(22, 40)))  # above the 6 drops of at most 3 to a far corner
+    drop = st.builds(Fraction, st.integers(1, 3), st.integers(1, 4))
+    values = [[top] * cols for _ in range(rows)]
+    for i in range(rows):
+        for j in range(cols):
+            if i or j:
+                values[i][j] = min(values[i - 1][j] if i else top, values[i][j - 1] if j else top)
+                values[i][j] -= draw(drop)
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        fault = draw(st.sampled_from(["zero", "negative", "left", "upper", "any"]))
+        if fault == "left" and j:
+            values[i][j] = values[i][j - 1]
+        elif fault == "upper" and i:
+            values[i][j] = values[i - 1][j]
+        elif fault in ("zero", "negative"):
+            values[i][j] = Fraction(0 if fault == "zero" else -draw(st.integers(1, 5)))
+        elif fault == "any":
+            values[i][j] = draw(RATIONALS)
+    grid = [[draw(rational_entries(value)) for value in row] for row in values]
+    if draw(st.integers(0, 9)) == 0:
+        grid[draw(st.integers(0, rows - 1))].pop()
+    return Partition((cols,) * rows), grid
+
+
+def assert_stored(stored: tuple, given: list) -> None:
+    """Every stored entry is a plain ``Fraction`` of its input, the same object if it was one."""
+    assert stored == tuple(map(Fraction, given))
+    assert all(type(kept) is Fraction for kept in stored)
+    assert all(kept is entry for kept, entry in zip(stored, given) if type(entry) is Fraction)
+
+
+@settings(max_examples=300, deadline=None)
+@given(capacity_inputs())
+def test_capacity_grid_checks_accept_and_report_as_the_fraction_comparisons_did(case):
+    shape, rates = case
+    expected = oracles.capacity_grid_error(shape, rates)
+    try:
+        caps = CapacityGrid(shape, tuple(map(tuple, rates)))
+    except DomainError as exc:
+        assert type(exc) is type(expected) and str(exc) == str(expected)
+    else:
+        assert expected is None
+        for stored, row in zip(caps.rates, rates, strict=True):
+            assert_stored(stored, row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(RATIONALS.flatmap(rational_entries), max_size=8))
+def test_task_set_checks_accept_and_report_as_the_fraction_comparisons_did(requirements):
+    expected = oracles.task_set_error(requirements)
+    try:
+        tasks = TaskSet(tuple(requirements))
+    except DomainError as exc:
+        assert type(exc) is type(expected) and str(exc) == str(expected)
+    else:
+        assert expected is None
+        assert_stored(tasks.requirements, requirements)
+
+
 # --- states and embedding ----------------------------------------------------
 
 

@@ -1,11 +1,15 @@
-"""Literal pins of seeded generator output: the benchmark and ``turnaround --random`` build on it."""
+"""Seeded generator output, pinned literally or against the oracles' ``Fraction`` generator:
+the benchmark and ``turnaround --random`` build on it."""
 
+from fractions import Fraction
 from random import Random
 
+import oracles
 import pytest
 
-from taquin.partitions import SkewShape
+from taquin.partitions import Partition, SkewShape
 from taquin.randgen import (
+    random_hierarchical_capacities,
     random_skew_assignment,
     random_standard_assignment,
     random_standard_filling,
@@ -60,3 +64,18 @@ def test_random_standard_filling_keeps_the_requested_shape(outer, inner):
         filling = random_standard_filling(Random(seed), shape)
         assert filling.shape == shape
         assert is_standard(filling)
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 9), (9, 1), (2, 2), (5, 3), (16, 16)])
+def test_random_capacities_draw_as_the_fraction_arithmetic_did(rows, cols):
+    shape = Partition((cols,) * rows)
+    for seed in range(40):
+        rng, oracle_rng = Random(seed), Random(seed)
+        caps = random_hierarchical_capacities(rng, shape)
+        expected = oracles.random_hierarchical_capacities(oracle_rng, shape)
+        assert caps == expected and rng.getstate() == oracle_rng.getstate()
+        for row, expected_row in zip(caps.rates, expected.rates, strict=True):
+            assert all(type(rate) is Fraction for rate in row)
+            assert [*map(Fraction.as_integer_ratio, row)] == [
+                *map(Fraction.as_integer_ratio, expected_row)
+            ]
